@@ -257,12 +257,13 @@ def boundary_table_csv(points):
     """
     lines = [BOUNDARY_CSV_HEADER]
     for pt in points:
+        # float() first: the repr of a numpy scalar is not a number
         lines.append(",".join([
-            repr(pt.delta_c / (2 * math.pi)),
-            repr(pt.delta_tilde / (2 * math.pi)),
-            repr(pt.eta_cr),
-            repr(pt.lambda_cr),
-            repr(pt.p_cr),
+            repr(float(pt.delta_c / (2 * math.pi))),
+            repr(float(pt.delta_tilde / (2 * math.pi))),
+            repr(float(pt.eta_cr)),
+            repr(float(pt.lambda_cr)),
+            repr(float(pt.p_cr)),
             "true" if pt.transition_exists else "false",
         ]))
     return "\n".join(lines) + "\n"

@@ -6,6 +6,10 @@
 Subcommands: ramp, diagram, ensemble, boundary, dicke-ed, dicke-ode.
 Exit codes: 0 success, 2 config error, 3 engine failure, 4 partial
 completion (some sweep points failed; completed points are persisted).
+Every failure exits 2, 3 or 4 without a traceback.  A config that does not
+load or an output directory that cannot be made exits 2 at once; every
+later failure also writes manifest.json with its status (config-error,
+engine-failure or partial).
 All behavior is controlled by flags and the config file; no environment
 variables are read.
 """
@@ -14,8 +18,6 @@ import argparse
 import os
 import sys
 
-from .dicke import ConvergenceError, DivergenceError
-from .grid import GridError
 from .params import ParameterError
 from .sweeps import (ConfigError, EngineError, RunDir, default_config,
                      load_config, run_boundary, run_dicke_ed,
@@ -73,12 +75,12 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         config = _load(args)
+        rundir = RunDir(args.out, config, command=" ".join(
+            [args.command] + (argv if argv is not None else sys.argv[1:])))
     except (ConfigError, ParameterError, OSError) as exc:
         print(f"selforg: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    rundir = RunDir(args.out, config, command=" ".join(
-        [args.command] + (argv if argv is not None else sys.argv[1:])))
     try:
         if args.command == "ramp":
             _, report = run_ramp(config, rundir)
@@ -123,7 +125,7 @@ def main(argv=None):
         print(f"selforg: config error: {exc}", file=sys.stderr)
         rundir.finish("config-error")
         return EXIT_CONFIG
-    except (EngineError, DivergenceError, ConvergenceError, GridError) as exc:
+    except EngineError as exc:
         print(f"selforg: engine failure: {exc}", file=sys.stderr)
         rundir.finish("engine-failure")
         return EXIT_ENGINE

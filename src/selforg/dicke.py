@@ -288,63 +288,28 @@ def max_stable_dt(p: DickeParams):
 
 def integrate_semiclassical(s0: SemiclassicalState, p: DickeParams,
                             t_final, dt=None, record_every=1):
-    """Fixed-step RK4 trajectory of the semiclassical equations.
-
-    Returns a dict of arrays ``t, alpha, photon_frac, jz, order`` sampled
-    every ``record_every`` steps (plus the final state under ``state``).
-    dt defaults to :func:`max_stable_dt`; a larger explicit dt is rejected.
-    Divergence (NaN or runaway photon number) aborts with DivergenceError.
+    """Fixed-step RK4 trajectory of the semiclassical equations: the constant
+    schedule lam(t) = p.coupling of :func:`integrate_semiclassical_ramp`,
+    with the same dt contract, divergence check and record layout.
     """
-    bound = max_stable_dt(p)
-    if dt is None:
-        dt = bound
-    elif dt > bound * (1 + 1e-12):
-        raise ValueError(f"dt={dt:g} does not resolve the fastest scale "
-                         f"(need <= {bound:g})")
-    n_steps = max(1, int(round(t_final / dt)))
-    n_rec = n_steps // record_every + 1
-    t = np.empty(n_rec)
-    alpha = np.empty(n_rec, dtype=complex)
-    jz = np.empty(n_rec)
-    order = np.empty(n_rec)
-
-    s = s0
-    idx = 0
-    for i in range(n_steps + 1):
-        if i % record_every == 0 and idx < n_rec:
-            t[idx] = i * dt
-            alpha[idx] = s.alpha
-            jz[idx] = s.j_z
-            order[idx] = 2.0 * s.j_minus.real
-            idx += 1
-        if i == n_steps:
-            break
-        s = _rk4_step(s, p, dt)
-        if i % 100 == 0:
-            a2 = abs(s.alpha) ** 2
-            if not np.isfinite(a2) or a2 > 1e12:
-                raise DivergenceError(
-                    f"semiclassical trajectory diverged at t={i*dt:g} "
-                    f"(|alpha|^2={a2:g}); reduce dt or check parameters")
-    return {
-        "t": t[:idx], "alpha": alpha[:idx],
-        "photon_frac": np.abs(alpha[:idx]) ** 2,
-        "jz": jz[:idx], "order": order[:idx],
-        "state": s,
-    }
+    return integrate_semiclassical_ramp(s0, p, lambda t: p.coupling, t_final,
+                                        dt=dt, record_every=record_every)
 
 
 def integrate_semiclassical_ramp(s0: SemiclassicalState, p: DickeParams,
                                  coupling_of_t, t_final, dt=None,
                                  record_every=1):
-    """RK4 trajectory with a time-dependent coupling lam(t).
+    """Fixed-step RK4 trajectory with a time-dependent coupling lam(t).
 
     ``coupling_of_t`` maps time to the coupling; all other parameters are
-    fixed.  Same record layout as :func:`integrate_semiclassical`, plus the
-    instantaneous coupling under ``coupling``.
+    fixed.  Returns a dict of arrays ``t, alpha, photon_frac, jz, order,
+    coupling`` sampled every ``record_every`` steps (plus the final state
+    under ``state``).  dt defaults to :func:`max_stable_dt` at the larger
+    end-point coupling; a larger explicit dt is rejected.  Divergence (NaN
+    or runaway photon number) aborts with DivergenceError.
     """
     lam_max = max(abs(coupling_of_t(0.0)), abs(coupling_of_t(t_final)))
-    bound = 0.05 / max(abs(p.omega), p.omega0, p.kappa, lam_max, 1e-30)
+    bound = max_stable_dt(replace(p, coupling=lam_max))
     if dt is None:
         dt = bound
     elif dt > bound * (1 + 1e-12):
@@ -358,6 +323,7 @@ def integrate_semiclassical_ramp(s0: SemiclassicalState, p: DickeParams,
     order = np.empty(n_rec)
     lam_rec = np.empty(n_rec)
     s = s0
+    p_now = p
     idx = 0
     for i in range(n_steps + 1):
         now = i * dt
@@ -371,11 +337,18 @@ def integrate_semiclassical_ramp(s0: SemiclassicalState, p: DickeParams,
         if i == n_steps:
             break
         # piecewise-frozen coupling across the step keeps RK4 simple; the
-        # dt bound makes the per-step coupling change negligible
-        p_now = replace(p, coupling=coupling_of_t(now + 0.5 * dt))
+        # dt bound makes the per-step coupling change negligible.  A constant
+        # schedule keeps its parameter set instead of copying it every step.
+        lam = coupling_of_t(now + 0.5 * dt)
+        if lam != p_now.coupling:
+            p_now = replace(p, coupling=lam)
         s = _rk4_step(s, p_now, dt)
-        if i % 100 == 0 and not np.isfinite(abs(s.alpha)):
-            raise DivergenceError(f"ramp trajectory diverged at t={now:g}")
+        if i % 100 == 0:
+            a2 = abs(s.alpha) ** 2
+            if not np.isfinite(a2) or a2 > 1e12:
+                raise DivergenceError(
+                    f"semiclassical trajectory diverged at t={now:g} "
+                    f"(|alpha|^2={a2:g}); reduce dt or check parameters")
     return {
         "t": t[:idx], "alpha": alpha[:idx],
         "photon_frac": np.abs(alpha[:idx]) ** 2,

@@ -31,7 +31,8 @@ import scipy.fft as sfft
 from .constants import HBAR
 from .dicke import DivergenceError, ConvergenceError
 from .grid import Grid2D, GridError
-from .params import ExperimentParams, derive, collision_strength
+from .params import (ExperimentParams, derive, collision_strength,
+                     eta_of_power)
 
 
 @dataclass(frozen=True)
@@ -177,11 +178,10 @@ class CondensateSim:
         return edge / dens.max()
 
     def _check_edges(self, psi, where):
-        if self.trap and self.edge_density_fraction(psi) > 1e-10:
+        if self.trap and (edge := self.edge_density_fraction(psi)) > 1e-10:
             raise GridError(
                 f"{where}: cloud reaches the grid edge "
-                f"(edge/peak = {self.edge_density_fraction(psi):.2e}); "
-                "enlarge the grid")
+                f"(edge/peak = {edge:.2e}); enlarge the grid")
 
     # -- initial states ---------------------------------------------------
 
@@ -395,8 +395,8 @@ class PowerRamp:
     """Piecewise-linear pump power P(t), converted to eta(t) on the fly.
 
     Breakpoints are (time, power) pairs; power is held at the last value
-    beyond the final breakpoint.  eta = sqrt(U0 * c_cal * P / hbar) / omega_r
-    (scaled), so a linear power ramp is linear in eta^2.
+    beyond the final breakpoint.  eta = params.eta_of_power(P) (scaled), so
+    a linear power ramp is linear in eta^2.
     """
 
     def __init__(self, params: ExperimentParams, breakpoints):
@@ -407,16 +407,12 @@ class PowerRamp:
             raise ValueError("pump power must be >= 0")
         self.times = np.array([t for t, _ in pts])
         self.powers = np.array([p for _, p in pts])
-        d = derive(params)
-        coef = params.single_atom_lightshift * params.calibration_constant / HBAR
-        if coef < 0:
-            raise ValueError("U0 and the calibration constant must have the "
-                             "same sign for eta to be real")
-        self._eta_sq_per_watt = coef / d.recoil_frequency**2
+        self.params = params
+        eta_of_power(params, 0.0)       # a wrong-sign calibration fails here
 
     def __call__(self, t):
         p = float(np.interp(t, self.times, self.powers))
-        return p, math.sqrt(self._eta_sq_per_watt * p)
+        return p, eta_of_power(self.params, p)
 
 
 class EtaRamp:

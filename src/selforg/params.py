@@ -138,6 +138,20 @@ def derive(params: ExperimentParams) -> DerivedParams:
     )
 
 
+def eta_of_power(params: ExperimentParams, power):
+    """Scaled two-photon Rabi frequency eta/omega_r at pump power P (W).
+
+    eta = sqrt(U0 * c_cal / hbar / omega_r^2 * P), the positive root of
+    eta^2 = U0*V0/hbar with V0 = c_cal*P, so eta^2 is linear in P.  Raises
+    ParameterError when U0 and c_cal have opposite signs (eta imaginary).
+    """
+    coef = params.single_atom_lightshift * params.calibration_constant / HBAR
+    if coef < 0:
+        raise ParameterError("U0 and the calibration constant must have the "
+                             "same sign for eta to be real")
+    return math.sqrt(coef / derive(params).recoil_frequency**2 * power)
+
+
 # ---------------------------------------------------------------------------
 # mode profiles and static potential
 # ---------------------------------------------------------------------------
@@ -228,15 +242,17 @@ def load_params(path):
         return params_from_mapping(parse_key_value_text(fh.read()))
 
 
+def param_lines(params: ExperimentParams):
+    """``key = value`` lines of every set field, in declaration order."""
+    return [f"{f.name} = {float(getattr(params, f.name))!r}"
+            for f in fields(ExperimentParams)
+            if getattr(params, f.name) is not None]
+
+
 def format_params(params: ExperimentParams):
     """Render a parameter set back to the flat file format (exact round-trip)."""
     lines = ["# experiment parameters (SI; angular frequencies in rad/s)"]
-    for f in fields(ExperimentParams):
-        value = getattr(params, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {float(value)!r}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + param_lines(params)) + "\n"
 
 
 def with_pump_power(params: ExperimentParams, power):

@@ -17,6 +17,7 @@ and the merged table is written in point order, independent of completion
 order.
 """
 
+import functools
 import json
 import math
 import os
@@ -24,16 +25,15 @@ import platform
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy.stats import binomtest
 
 from . import __version__
-from .constants import HBAR
-from .params import (ExperimentParams, ParameterError, derive,
-                     parse_key_value_text, params_from_mapping, _PARAM_KEYS)
+from .params import (ExperimentParams, ParameterError, derive, eta_of_power,
+                     param_lines, parse_key_value_text, params_from_mapping,
+                     _PARAM_KEYS)
 from .grid import Grid2D, save_field
 from .gpe import (CondensateSim, PowerRamp, EtaRamp, detect_threshold,
                   oscillation_metric)
@@ -180,16 +180,15 @@ def resolve_config(mapping, seed=0):
 def load_config(path, overrides=(), seed=0):
     with open(path, encoding="utf-8") as fh:
         mapping = parse_key_value_text(fh.read())
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        mapping[key.strip()] = value.strip()
-    return resolve_config(mapping, seed=seed)
+    return _resolve_with_overrides(mapping, overrides, seed)
 
 
 def default_config(overrides=(), seed=0):
-    mapping = {}
+    return _resolve_with_overrides({}, overrides, seed)
+
+
+def _resolve_with_overrides(mapping, overrides, seed):
+    """Apply ``key=value`` overrides on top of ``mapping``, then resolve."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
@@ -200,12 +199,7 @@ def default_config(overrides=(), seed=0):
 
 def format_resolved(config: RunConfig):
     """Full config echo (defaults expanded), reparseable."""
-    lines = ["# resolved run configuration"]
-    for f in dc_fields(ExperimentParams):
-        value = getattr(config.params, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {float(value)!r}")
+    lines = ["# resolved run configuration"] + param_lines(config.params)
     for name, (typ, _) in sorted(_RUN_KEY_INFO.items()):
         value = config.options[name]
         if typ == "lf":
@@ -370,6 +364,19 @@ def _auto_dt(config: RunConfig, sim):
     return min(2.5e-3, 0.05 / kmax_sq)
 
 
+def _map_points(fn, jobs, workers):
+    """Yield ``fn(*job)`` for every job, in job order: serially in this
+    process, or from a pool of ``workers`` processes when workers > 1."""
+    if workers is None or workers <= 1:
+        for job in jobs:
+            yield fn(*job)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        for fut in futures:
+            yield fut.result()
+
+
 def point_seed(base_seed, index):
     """Deterministic independent seed stream per sweep point."""
     return int(np.random.SeedSequence([int(base_seed), int(index)])
@@ -380,6 +387,24 @@ def point_seed(base_seed, index):
 # experiments
 # ---------------------------------------------------------------------------
 
+def _engine_boundary(run):
+    """Let ConfigError and EngineError through ``run`` unchanged and report
+    every other failure as EngineError carrying the run context."""
+    @functools.wraps(run)
+    def wrapper(config, *args, **kwargs):
+        try:
+            return run(config, *args, **kwargs)
+        except (ConfigError, EngineError):
+            raise
+        except Exception as exc:
+            name = run.__name__.removeprefix("run_")
+            raise EngineError(f"{name} failed ({type(exc).__name__}: {exc}) "
+                              f"with engine={config.engine} "
+                              f"seed={config.seed}") from exc
+    return wrapper
+
+
+@_engine_boundary
 def run_ramp(config: RunConfig, rundir: RunDir = None):
     """Pump ramp with threshold detection and optional field snapshots.
 
@@ -387,18 +412,12 @@ def run_ramp(config: RunConfig, rundir: RunDir = None):
     trajectory record plus the threshold report; persists trajectory.csv,
     threshold.json and snapshot files when a run directory is given.
     """
-    try:
-        if config.engine == "dicke-semiclassical":
-            return _run_ramp_ode(config, rundir)
-        if config.engine != "gpe":
-            raise ConfigError(f"ramp needs the gpe or dicke-semiclassical "
-                              f"engine, not {config.engine!r}")
-        return _run_ramp_gpe(config, rundir)
-    except (ConfigError, EngineError):
-        raise
-    except Exception as exc:
-        raise EngineError(f"ramp failed ({type(exc).__name__}: {exc}) with "
-                          f"engine={config.engine} seed={config.seed}") from exc
+    if config.engine == "dicke-semiclassical":
+        return _run_ramp_ode(config, rundir)
+    if config.engine != "gpe":
+        raise ConfigError(f"ramp needs the gpe or dicke-semiclassical "
+                          f"engine, not {config.engine!r}")
+    return _run_ramp_gpe(config, rundir)
 
 
 def _run_ramp_gpe(config, rundir, power_end=None):
@@ -503,6 +522,7 @@ def _diagram_point(config_mapping, base_seed, index, delta_c, power_end):
     return index, rows, True
 
 
+@_engine_boundary
 def run_phase_diagram(config: RunConfig, rundir: RunDir, workers=None,
                       config_mapping=None):
     """Detuning x power sweep (each detuning is one ramp) plus the analytic
@@ -524,33 +544,15 @@ def run_phase_diagram(config: RunConfig, rundir: RunDir, workers=None,
         rundir.write("boundary.csv", boundary_table_csv(curve))
         rundir.stage_done("boundary")
 
-    results = {}
-    all_ok = True
-    jobs = [(i, dc, caps[i] if caps else None)
-            for i, dc in enumerate(deltas)]
-    if workers is None or workers <= 1:
-        completed = (_diagram_point(config_mapping, config.seed, i, dc, cap)
-                     for i, dc, cap in jobs)
-        for index, rows, ok in completed:
-            results[index] = rows
-            all_ok &= ok
-            _atomic_write(os.path.join(points_dir, f"point_{index:04d}.csv"),
-                          _csv(SWEEP_HEADER, rows))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_diagram_point, config_mapping,
-                                   config.seed, i, dc, cap)
-                       for i, dc, cap in jobs]
-            for fut in futures:
-                index, rows, ok = fut.result()
-                results[index] = rows
-                all_ok &= ok
-                _atomic_write(
-                    os.path.join(points_dir, f"point_{index:04d}.csv"),
-                    _csv(SWEEP_HEADER, rows))
     merged = []
-    for index in sorted(results):
-        merged.extend(results[index])
+    all_ok = True
+    jobs = [(config_mapping, config.seed, i, dc, caps[i] if caps else None)
+            for i, dc in enumerate(deltas)]
+    for index, rows, ok in _map_points(_diagram_point, jobs, workers):
+        merged.extend(rows)
+        all_ok &= ok
+        _atomic_write(os.path.join(points_dir, f"point_{index:04d}.csv"),
+                      _csv(SWEEP_HEADER, rows))
     rundir.write("sweep.csv", _csv(SWEEP_HEADER, merged))
     rundir.stage_done("sweep")
     return merged, all_ok
@@ -563,7 +565,7 @@ def _mapping_from_config(config: RunConfig):
 
 
 def _ensemble_point(config_mapping, base_seed, index, eta, mirrored):
-    t0 = time.monotonic()
+    """Worker: one relaxed ground state; returns its ensemble.csv row."""
     config = resolve_config(config_mapping, seed=base_seed)
     sim = build_sim(config)
     seed = point_seed(base_seed, index)
@@ -578,9 +580,8 @@ def _ensemble_point(config_mapping, base_seed, index, eta, mirrored):
         eta, psi0=psi0, dtau=config.dtau,
         tol_energy=config.gs_tol_energy, tol_theta=config.gs_tol_theta,
         max_steps=config.gs_max_steps)
-    return index, (seed, float(np.sign(gs["theta"])), gs["theta"],
-                   abs(gs["alpha"]) ** 2, gs["energy"]), \
-        round(time.monotonic() - t0, 3)
+    return (seed, float(np.sign(gs["theta"])), gs["theta"],
+            abs(gs["alpha"]) ** 2, gs["energy"], mirrored)
 
 
 def ensemble_eta(config: RunConfig):
@@ -589,12 +590,24 @@ def ensemble_eta(config: RunConfig):
         return config.ensemble_eta
     if math.isnan(config.ensemble_power):
         raise ConfigError("ensemble runs need ensemble_eta or ensemble_power")
-    d = derive(config.params)
-    coef = config.params.single_atom_lightshift \
-        * config.params.calibration_constant / HBAR
-    return math.sqrt(coef * config.ensemble_power) / d.recoil_frequency
+    return eta_of_power(config.params, config.ensemble_power)
 
 
+def binomial_pvalue(k, n):
+    """Exact two-sided p-value of k successes in n fair trials.
+
+    Follows scipy.stats.binomtest: the sum of the probabilities of every
+    outcome no more likely than k (pmf <= pmf(k) * (1 + 1e-7)), capped at 1,
+    in integer arithmetic up to the final division.
+    """
+    counts = [math.comb(n, i) for i in range(n + 1)]
+    limit = counts[k]
+    # c <= limit * (1 + 1e-7), exactly
+    total = sum(c for c in counts if c * 10**7 <= limit * (10**7 + 1))
+    return min(1.0, total / 2**n)
+
+
+@_engine_boundary
 def run_symmetry_ensemble(config: RunConfig, rundir: RunDir = None,
                           workers=None, mirrored_pairs=False):
     """Relax n_seeds noise realizations above threshold; tabulate sign(Theta).
@@ -606,25 +619,10 @@ def run_symmetry_ensemble(config: RunConfig, rundir: RunDir = None,
     """
     eta = ensemble_eta(config)
     mapping = _mapping_from_config(config)
-    jobs = []
-    for i in range(config.n_seeds):
-        jobs.append((i, eta, False))
-        if mirrored_pairs:
-            jobs.append((i, eta, True))
-    rows = {}
-    if workers is None or workers <= 1:
-        for i, (idx, eta_i, mir) in enumerate(jobs):
-            key, row, _ = _ensemble_point(mapping, config.seed, idx, eta_i, mir)
-            rows[i] = row + (mir,)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_ensemble_point, mapping, config.seed,
-                                   idx, eta_i, mir)
-                       for idx, eta_i, mir in jobs]
-            for i, fut in enumerate(futures):
-                _, row, _ = fut.result()
-                rows[i] = row + (jobs[i][2],)
-    ordered = [rows[i] for i in sorted(rows)]
+    jobs = [(mapping, config.seed, i, eta, mirrored)
+            for i in range(config.n_seeds)
+            for mirrored in ((False, True) if mirrored_pairs else (False,))]
+    ordered = list(_map_points(_ensemble_point, jobs, workers))
     base = [r for r in ordered if not r[5]]
     n_plus = sum(1 for r in base if r[1] > 0)
     n_minus = len(base) - n_plus
@@ -632,7 +630,7 @@ def run_symmetry_ensemble(config: RunConfig, rundir: RunDir = None,
         "n_seeds": len(base),
         "n_plus": n_plus,
         "n_minus": n_minus,
-        "binomial_p": float(binomtest(n_plus, len(base), 0.5).pvalue)
+        "binomial_p": binomial_pvalue(n_plus, len(base))
         if base else math.nan,
         "mean_abs_theta_plus": float(np.mean([abs(r[2]) for r in base
                                               if r[1] > 0])) if n_plus else math.nan,
@@ -640,16 +638,15 @@ def run_symmetry_ensemble(config: RunConfig, rundir: RunDir = None,
                                                if r[1] < 0])) if n_minus else math.nan,
     }
     if rundir is not None:
-        table = _csv(ENSEMBLE_HEADER + ",mirrored",
-                     [(r[0], r[1], r[2], r[3], r[4],
-                       "true" if r[5] else "false") for r in ordered])
-        rundir.write("ensemble.csv", table)
+        rundir.write("ensemble.csv",
+                     _csv(ENSEMBLE_HEADER + ",mirrored", ordered))
         rundir.write("ensemble_stats.json",
                      json.dumps(stats, indent=2, sort_keys=True) + "\n")
         rundir.stage_done("ensemble")
     return ordered, stats
 
 
+@_engine_boundary
 def run_dicke_ed(config: RunConfig, rundir: RunDir = None):
     """Exact-diagonalization coupling sweep; observables CSV per coupling.
 
@@ -673,6 +670,7 @@ def run_dicke_ed(config: RunConfig, rundir: RunDir = None):
     return rows
 
 
+@_engine_boundary
 def run_boundary(config: RunConfig, rundir: RunDir = None):
     deltas = config.delta_c_list
     if not deltas:

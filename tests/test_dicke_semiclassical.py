@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from selforg.dicke import (DickeParams, SemiclassicalState, normal_state,
-                           semiclassical_rhs, integrate_semiclassical,
+from selforg.dicke import (DickeParams, DivergenceError, SemiclassicalState,
+                           normal_state, semiclassical_rhs,
+                           integrate_semiclassical,
+                           integrate_semiclassical_ramp,
                            steadystate_photon_fraction, critical_coupling,
                            superradiant_fixed_point, normal_phase_growth_rate,
                            instability_threshold, max_stable_dt)
@@ -147,6 +149,16 @@ def test_dt_contract():
     assert max_stable_dt(p) == pytest.approx(0.005)
     with pytest.raises(ValueError, match="resolve"):
         integrate_semiclassical(normal_state(), p, t_final=1.0, dt=0.1)
+
+
+def test_unresolved_schedule_diverges():
+    # the dt bound sees only the end-point couplings, so a coupling spike
+    # in mid-ramp is left unresolved and must end in DivergenceError
+    p = DickeParams(omega=1.0, omega0=1.0, coupling=0.0, kappa=0.5)
+    with pytest.raises(DivergenceError, match="diverged"):
+        integrate_semiclassical_ramp(
+            normal_state(noise=1e-3, seed=1), p,
+            lambda t: 1e3 if 1.0 < t < 9.0 else 0.0, t_final=10.0)
 
 
 def test_trajectory_record_fields():

@@ -4,13 +4,15 @@ import os
 
 import numpy as np
 import pytest
+from scipy.stats import binomtest
 
 import selforg.sweeps as sweeps
 from selforg import cli
 from selforg.boundary import BOUNDARY_CSV_HEADER
 from selforg.dicke import (DickeParams, critical_coupling,
                            steadystate_photon_fraction)
-from selforg.params import ExperimentParams, derive
+from selforg.gpe import PowerRamp
+from selforg.params import ExperimentParams, ParameterError, derive
 from selforg.sweeps import (ConfigError, RunDir, default_config, load_config,
                             point_seed, resolve_config, format_resolved,
                             run_boundary, run_dicke_ed, run_phase_diagram,
@@ -120,6 +122,12 @@ def test_run_boundary_table(tmp_path):
     assert text.startswith(BOUNDARY_CSV_HEADER)
     # -2pi*2 MHz is above the shifted resonance (-2pi*3.75 MHz): flagged
     assert "false" in text.strip().split("\n")[-1]
+    # every field is a plain number or a boolean
+    for line in text.strip().split("\n")[1:]:
+        *numbers, flag = line.split(",")
+        assert len(numbers) == 5 and flag in ("true", "false")
+        for field in numbers:
+            float(field)
 
 
 def test_run_dicke_ed_sweep(tmp_path):
@@ -213,11 +221,27 @@ def test_cli_exit_codes(tmp_path):
                      "grid_points_x = 32\ngrid_points_z = 32\n")
     assert cli.main(["ramp", "--config", str(small),
                      "--out", str(tmp_path / "x3")]) == cli.EXIT_ENGINE
+    # an output path that is a file is a config error
+    assert cli.main(["dicke-ed", "--out", str(bad)]) == cli.EXIT_CONFIG
     # diagram without detunings is a config error
     ok = tmp_path / "ok.cfg"
     ok.write_text("trap = false\n")
     assert cli.main(["diagram", "--config", str(ok),
                      "--out", str(tmp_path / "x4")]) == cli.EXIT_CONFIG
+    # a failing engine exits 3 and finishes the manifest on every subcommand
+    failing = {
+        "boundary": ["scattering_length=0", "delta_c_list=-1e8"],
+        "dicke-ed": ["dicke_omega0=0"],
+        "ensemble": ["scattering_length=0", "ensemble_eta=1", "n_seeds=1"],
+    }
+    for command, overrides in failing.items():
+        out = tmp_path / f"fail-{command}"
+        argv = [command, "--out", str(out), "--workers", "2"]
+        for item in overrides:
+            argv += ["--override", item]
+        assert cli.main(argv) == cli.EXIT_ENGINE, command
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "engine-failure", command
 
 
 @pytest.mark.slow
@@ -307,3 +331,26 @@ def test_ensemble_requires_pump(tmp_path):
     config = load_config(cfg)
     with pytest.raises(ConfigError, match="ensemble"):
         sweeps.ensemble_eta(config)
+
+
+def test_ensemble_power_uses_the_ramp_eta():
+    # one power -> eta rule: a fixed ensemble power and a power ramp held at
+    # that power give the same eta, and both reject a wrong-sign calibration
+    power = 4e-4
+    config = default_config(overrides=[f"ensemble_power={power!r}"])
+    ramp = PowerRamp(config.params, [(0.0, power), (1.0, power)])
+    assert sweeps.ensemble_eta(config) == ramp(0.5)[1]
+    flipped = default_config(overrides=[f"ensemble_power={power!r}",
+                                        "calibration_constant=1e-26"])
+    with pytest.raises(ParameterError, match="same sign"):
+        sweeps.ensemble_eta(flipped)
+    with pytest.raises(ParameterError, match="same sign"):
+        PowerRamp(flipped.params, [(0.0, 0.0), (1.0, power)])
+
+
+def test_binomial_pvalue_matches_scipy():
+    for n in range(1, 65):
+        for k in range(n + 1):
+            expected = binomtest(k, n, 0.5).pvalue
+            assert sweeps.binomial_pvalue(k, n) == pytest.approx(
+                expected, rel=1e-12, abs=0.0), (k, n)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .params import ExperimentParams, collision_strength
+from .params import ExperimentParams, collision_strength, csv_table
 
 
 class QuadratureError(RuntimeError):
@@ -255,15 +255,7 @@ def boundary_table_csv(points):
     Detunings are in Hz (angular values divided by 2*pi); eta_cr and
     lambda_cr stay angular (rad/s); power in watts.
     """
-    lines = [BOUNDARY_CSV_HEADER]
-    for pt in points:
-        # float() first: the repr of a numpy scalar is not a number
-        lines.append(",".join([
-            repr(float(pt.delta_c / (2 * math.pi))),
-            repr(float(pt.delta_tilde / (2 * math.pi))),
-            repr(float(pt.eta_cr)),
-            repr(float(pt.lambda_cr)),
-            repr(float(pt.p_cr)),
-            "true" if pt.transition_exists else "false",
-        ]))
-    return "\n".join(lines) + "\n"
+    return csv_table(BOUNDARY_CSV_HEADER, [
+        (pt.delta_c / (2 * math.pi), pt.delta_tilde / (2 * math.pi),
+         pt.eta_cr, pt.lambda_cr, pt.p_cr, pt.transition_exists)
+        for pt in points])

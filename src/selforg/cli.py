@@ -17,6 +17,7 @@ variables are read.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .params import ParameterError
 from .sweeps import (ConfigError, EngineError, RunDir, default_config,
@@ -114,10 +115,7 @@ def main(argv=None):
             rows = run_dicke_ed(config, rundir)
             print(f"diagonalized {len(rows)} couplings")
         elif args.command == "dicke-ode":
-            from dataclasses import replace
-            ode_config = replace(config, options={**config.options,
-                                                  "engine": "dicke-semiclassical"})
-            rec, _ = run_ramp(ode_config, None)
+            rec, _ = run_ramp(replace(config, engine="dicke-semiclassical"))
             rundir.write("trajectory.csv", ode_trajectory_csv(rec))
             rundir.stage_done("dicke-ode")
             print(f"integrated {len(rec['t'])} samples")

@@ -244,9 +244,28 @@ def load_params(path):
 
 def param_lines(params: ExperimentParams):
     """``key = value`` lines of every set field, in declaration order."""
-    return [f"{f.name} = {float(getattr(params, f.name))!r}"
+    return [f"{f.name} = {format_value(getattr(params, f.name))}"
             for f in fields(ExperimentParams)
             if getattr(params, f.name) is not None]
+
+
+def format_value(value):
+    """One field of a data file or config echo: true/false for a boolean,
+    the repr of the float for a number (a numpy scalar's repr is not a
+    number), str() otherwise."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def csv_table(header, rows):
+    """CSV text: the header line, then one line of fields per row."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(format_value(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def format_params(params: ExperimentParams):

@@ -11,7 +11,9 @@ engines, and persists everything into one output directory:
 Determinism contract: for a fixed (config, seed) the data files are
 byte-identical across runs on one platform.  Excluded by construction:
 manifest.json and the wall_time_s column of sweep tables, which exist to
-record timings.  Sweep points run in a worker pool; each completed point is
+record timings.  Sweep points run in a worker pool and receive the resolved
+RunConfig itself: a diagram point replaces its detuning and seed, and the
+members of an ensemble share one CondensateSim.  Each completed point is
 persisted immediately (a killed sweep loses at most the in-flight point)
 and the merged table is written in point order, independent of completion
 order.
@@ -25,22 +27,20 @@ import platform
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .params import (ExperimentParams, ParameterError, derive, eta_of_power,
-                     param_lines, parse_key_value_text, params_from_mapping,
-                     _PARAM_KEYS)
+from .params import (ExperimentParams, ParameterError, csv_table, derive,
+                     eta_of_power, format_value, param_lines,
+                     parse_key_value_text, params_from_mapping, _PARAM_KEYS)
 from .grid import Grid2D, save_field
 from .gpe import (CondensateSim, PowerRamp, EtaRamp, detect_threshold,
                   oscillation_metric)
 from . import dicke
 from .boundary import thomas_fermi, boundary_curve, boundary_table_csv
-
-_PARAM_KEY_SET = set(_PARAM_KEYS)
 
 
 class ConfigError(ParameterError):
@@ -53,128 +53,120 @@ class EngineError(RuntimeError):
 
 ENGINES = ("gpe", "dicke-exact", "dicke-semiclassical", "boundary")
 
-# every config key beyond the embedded experiment parameters:
-# (name, type, default) -- types: f float, i int, b bool, lf float list
-_RUN_KEYS = [
-    ("engine", "s", "gpe"),
-    # grid (extents in units of 1/k)
-    ("grid_extent_x", "f", 160.0),
-    ("grid_extent_z", "f", 160.0),
-    ("grid_points_x", "i", 256),
-    ("grid_points_z", "i", 256),
-    ("envelopes", "b", True),
-    ("trap", "b", True),
-    ("pump_lattice", "b", True),
-    ("sigma_y_mode", "s", "thomas-fermi"),
-    ("sigma_y", "f", math.nan),          # m; NaN = use sigma_y_mode
-    # ramp protocol (SI)
-    ("ramp_time", "f", 10e-3),           # s
-    ("power_start", "f", 0.0),           # W
-    ("power_end", "f", 1.3e-3),          # W
-    ("eta_end", "f", math.nan),          # scaled eta ramp instead of power
-    ("dt", "f", math.nan),               # s; NaN = auto
-    ("record_every", "i", 1),
-    ("noise_amplitude", "f", 1e-4),
-    ("snapshot_powers", "lf", ()),       # W
-    # sweep axes
-    ("delta_c_list", "lf", ()),          # rad/s
-    ("power_list", "lf", ()),            # W, diagram sample powers
-    ("power_end_list", "lf", ()),        # optional per-detuning ramp caps
-    # threshold detector and frustration metric
-    ("baseline_fraction", "f", 0.05),
-    ("floor_factor", "f", 10.0),
-    ("consecutive", "i", 50),
-    ("oscillation_threshold", "f", 0.5),
-    ("final_window_fraction", "f", 0.2),
-    # ensemble / ground-state relaxation
-    ("n_seeds", "i", 1),
-    ("ensemble_power", "f", math.nan),   # W, fixed pump for ensembles
-    ("ensemble_eta", "f", math.nan),     # scaled, overrides ensemble_power
-    ("dtau", "f", 2e-3),                 # imaginary time step, 1/omega_r
-    ("gs_tol_energy", "f", 1e-10),
-    ("gs_tol_theta", "f", 1e-8),
-    ("gs_max_steps", "i", 200_000),
-    # dicke engines
-    ("dicke_omega", "f", 1.0),           # units of omega_r
-    ("dicke_omega0", "f", 2.0),
-    ("dicke_kappa", "f", 1.0),
-    ("dicke_coupling", "f", 1.0),
-    ("dicke_n_atoms", "i", 8),
-    ("dicke_n_max", "i", 60),
-    ("lambda_list", "lf", ()),           # units of omega_r, ED sweeps
-    ("t_final", "f", math.nan),          # s, ODE runs; NaN = 50/kappa
-]
-_RUN_KEY_INFO = {name: (typ, default) for name, typ, default in _RUN_KEYS}
+Floats = tuple[float, ...]      # a comma-separated list in the config file
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    params: ExperimentParams
-    options: dict         # resolved run keys, defaults expanded
-    seed: int = 0
+    """A resolved run: experiment parameters, base seed and one typed field
+    per run key.  A field's type (float, int, bool, str or Floats) decides
+    how resolve_config parses the key's text and how format_resolved echoes
+    it; a key at an unset default (NaN, empty list) is left out of the echo.
+    """
 
-    def __getattr__(self, name):
-        try:
-            return self.options[name]
-        except KeyError:
-            raise AttributeError(name) from None
+    params: ExperimentParams
+    seed: int = 0
+    engine: str = "gpe"
+    # grid (extents in units of 1/k)
+    grid_extent_x: float = 160.0
+    grid_extent_z: float = 160.0
+    grid_points_x: int = 256
+    grid_points_z: int = 256
+    envelopes: bool = True
+    trap: bool = True
+    pump_lattice: bool = True
+    sigma_y_mode: str = "thomas-fermi"
+    sigma_y: float = math.nan           # m; NaN = use sigma_y_mode
+    # ramp protocol (SI)
+    ramp_time: float = 10e-3            # s
+    power_start: float = 0.0            # W
+    power_end: float = 1.3e-3           # W
+    eta_end: float = math.nan           # scaled eta ramp instead of power
+    dt: float = math.nan                # s; NaN = auto
+    record_every: int = 1
+    noise_amplitude: float = 1e-4
+    snapshot_powers: Floats = ()        # W
+    # sweep axes
+    delta_c_list: Floats = ()           # rad/s
+    power_list: Floats = ()             # W, diagram sample powers
+    power_end_list: Floats = ()         # optional per-detuning ramp caps
+    # threshold detector and frustration metric
+    baseline_fraction: float = 0.05
+    floor_factor: float = 10.0
+    consecutive: int = 50
+    oscillation_threshold: float = 0.5
+    final_window_fraction: float = 0.2
+    # ensemble / ground-state relaxation
+    n_seeds: int = 1
+    ensemble_power: float = math.nan    # W, fixed pump for ensembles
+    ensemble_eta: float = math.nan      # scaled, overrides ensemble_power
+    dtau: float = 2e-3                  # imaginary time step, 1/omega_r
+    gs_tol_energy: float = 1e-10
+    gs_tol_theta: float = 1e-8
+    gs_max_steps: int = 200_000
+    # dicke engines
+    dicke_omega: float = 1.0            # units of omega_r
+    dicke_omega0: float = 2.0
+    dicke_kappa: float = 1.0
+    dicke_coupling: float = 1.0
+    dicke_n_atoms: int = 8
+    dicke_n_max: int = 60
+    lambda_list: Floats = ()            # units of omega_r, ED sweeps
+    t_final: float = math.nan           # s, ODE runs; NaN = 50/kappa
+
+
+# every config key beyond the embedded experiment parameters
+_RUN_FIELDS = tuple(f for f in fields(RunConfig)
+                    if f.name not in ("params", "seed"))
+_CONFIG_KEYS = set(_PARAM_KEYS) | {f.name for f in _RUN_FIELDS}
 
 
 def _coerce(name, typ, raw):
+    """Parse one config value as its RunConfig field type ``typ``."""
+    text = str(raw).strip()
     try:
-        if typ == "f":
-            return float(raw)
-        if typ == "i":
-            value = float(raw)
+        if typ is int:
+            try:
+                return int(text)
+            except ValueError:          # integral float notation, e.g. 2e5
+                value = float(text)
             if value != int(value):
                 raise ValueError("not an integer")
             return int(value)
-        if typ == "b":
-            if isinstance(raw, bool):
-                return raw
-            text = str(raw).strip().lower()
-            if text in ("true", "1", "yes", "on"):
+        if typ is bool:
+            if text.lower() in ("true", "1", "yes", "on"):
                 return True
-            if text in ("false", "0", "no", "off"):
+            if text.lower() in ("false", "0", "no", "off"):
                 return False
             raise ValueError("not a boolean")
-        if typ == "s":
-            return str(raw).strip()
-        if typ == "lf":
-            if isinstance(raw, (list, tuple)):
-                return tuple(float(v) for v in raw)
-            text = str(raw).strip()
-            if not text:
-                return ()
-            return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
+        if typ == Floats:
+            return tuple(float(v) for v in text.split(",")) if text else ()
+        return typ(text)                # float or str
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"key {name!r}: bad value {raw!r} ({exc})") from exc
-    raise ConfigError(f"internal: unknown type code {typ}")
 
 
 def resolve_config(mapping, seed=0):
-    """Split a flat mapping into experiment params and run options.
+    """Resolve a flat mapping of config text into a RunConfig.
 
     Unknown keys are rejected; every missing key takes its documented
     default.
     """
-    mapping = dict(mapping)
-    unknown = sorted(set(mapping) - set(_PARAM_KEY_SET) - set(_RUN_KEY_INFO))
+    unknown = sorted(set(mapping) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
-    param_map = {k: v for k, v in mapping.items() if k in _PARAM_KEY_SET}
+    param_map = {k: v for k, v in mapping.items() if k in _PARAM_KEYS}
     try:
         params = params_from_mapping(param_map)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    options = {}
-    for name, (typ, default) in _RUN_KEY_INFO.items():
-        options[name] = _coerce(name, typ, mapping[name]) \
-            if name in mapping else default
-    if options["engine"] not in ENGINES:
-        raise ConfigError(f"unknown engine {options['engine']!r}; "
+    options = {f.name: _coerce(f.name, f.type, mapping[f.name])
+               for f in _RUN_FIELDS if f.name in mapping}
+    config = RunConfig(params=params, seed=int(seed), **options)
+    if config.engine not in ENGINES:
+        raise ConfigError(f"unknown engine {config.engine!r}; "
                           f"choose from {', '.join(ENGINES)}")
-    return RunConfig(params=params, options=options, seed=int(seed))
+    return config
 
 
 def load_config(path, overrides=(), seed=0):
@@ -197,24 +189,25 @@ def _resolve_with_overrides(mapping, overrides, seed):
     return resolve_config(mapping, seed=seed)
 
 
+def _unset(value):
+    """NaN or an empty list: the value of a key that is not set."""
+    return value == () or (isinstance(value, float) and math.isnan(value))
+
+
 def format_resolved(config: RunConfig):
     """Full config echo (defaults expanded), reparseable."""
     lines = ["# resolved run configuration"] + param_lines(config.params)
-    for name, (typ, _) in sorted(_RUN_KEY_INFO.items()):
-        value = config.options[name]
-        if typ == "lf":
-            rendered = ",".join(repr(float(v)) for v in value)
-            if rendered == "":
-                continue
-            lines.append(f"{name} = {rendered}")
-        elif typ == "b":
-            lines.append(f"{name} = {'true' if value else 'false'}")
-        elif typ == "f":
-            if isinstance(value, float) and math.isnan(value):
-                continue
-            lines.append(f"{name} = {float(value)!r}")
+    for f in sorted(_RUN_FIELDS, key=lambda f: f.name):
+        value = getattr(config, f.name)
+        if _unset(value) and _unset(f.default):
+            continue
+        if f.type == Floats:
+            text = ",".join(map(format_value, value))
+        elif f.type in (int, str):
+            text = str(value)
         else:
-            lines.append(f"{name} = {value}")
+            text = format_value(value)
+        lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -284,21 +277,6 @@ class RunDir:
                       + "\n")
 
 
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _csv(header, rows):
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 GPE_TRAJ_HEADER = "t,P,eta,alpha_re,alpha_im,nphoton,theta,bunching,norm"
 ODE_TRAJ_HEADER = "t,alpha_re,alpha_im,photon_frac,jz,order"
 ED_HEADER = "lambda,photon_frac,jz,order,gap"
@@ -312,17 +290,17 @@ def gpe_trajectory_csv(rec):
     rows = zip(rec["t"], rec["power"], rec["eta"],
                rec["alpha"].real, rec["alpha"].imag, rec["nphoton"],
                rec["theta"], rec["bunching"], rec["norm"])
-    return _csv(GPE_TRAJ_HEADER, rows)
+    return csv_table(GPE_TRAJ_HEADER, rows)
 
 
 def ode_trajectory_csv(rec):
     rows = zip(rec["t"], rec["alpha"].real, rec["alpha"].imag,
                rec["photon_frac"], rec["jz"], rec["order"])
-    return _csv(ODE_TRAJ_HEADER, rows)
+    return csv_table(ODE_TRAJ_HEADER, rows)
 
 
 def peaks_csv(peaks):
-    return _csv(PEAKS_HEADER, peaks)
+    return csv_table(PEAKS_HEADER, peaks)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +367,8 @@ def point_seed(base_seed, index):
 
 def _engine_boundary(run):
     """Let ConfigError and EngineError through ``run`` unchanged and report
-    every other failure as EngineError carrying the run context."""
+    every other failure as EngineError carrying the run context (the engine
+    only for a ramp, the one run that reads the engine key)."""
     @functools.wraps(run)
     def wrapper(config, *args, **kwargs):
         try:
@@ -398,9 +377,9 @@ def _engine_boundary(run):
             raise
         except Exception as exc:
             name = run.__name__.removeprefix("run_")
+            engine = f"engine={config.engine} " if name == "ramp" else ""
             raise EngineError(f"{name} failed ({type(exc).__name__}: {exc}) "
-                              f"with engine={config.engine} "
-                              f"seed={config.seed}") from exc
+                              f"with {engine}seed={config.seed}") from exc
     return wrapper
 
 
@@ -490,12 +469,12 @@ def _run_ramp_ode(config, rundir):
     return rec, report
 
 
-def _diagram_point(config_mapping, base_seed, index, delta_c, power_end):
+def _diagram_point(config, index, delta_c, power_end):
     """Worker: one detuning of the phase diagram (its own ramp)."""
     t0 = time.monotonic()
-    mapping = dict(config_mapping)
-    mapping["pump_cavity_detuning"] = repr(float(delta_c))
-    config = resolve_config(mapping, seed=point_seed(base_seed, index))
+    config = replace(config, seed=point_seed(config.seed, index),
+                     params=replace(config.params,
+                                    pump_cavity_detuning=float(delta_c)))
     rows = []
     try:
         rec, report = _run_ramp_gpe(config, None, power_end=power_end)
@@ -523,8 +502,7 @@ def _diagram_point(config_mapping, base_seed, index, delta_c, power_end):
 
 
 @_engine_boundary
-def run_phase_diagram(config: RunConfig, rundir: RunDir, workers=None,
-                      config_mapping=None):
+def run_phase_diagram(config: RunConfig, rundir: RunDir, workers=None):
     """Detuning x power sweep (each detuning is one ramp) plus the analytic
     boundary table for overlay.  Completed points are persisted immediately
     under points/; the merged sweep.csv is written in point order.  Returns
@@ -533,8 +511,6 @@ def run_phase_diagram(config: RunConfig, rundir: RunDir, workers=None,
     caps = config.power_end_list
     if caps and len(caps) != len(deltas):
         raise ConfigError("power_end_list length must match delta_c_list")
-    if config_mapping is None:
-        config_mapping = _mapping_from_config(config)
     points_dir = rundir.file("points")
     os.makedirs(points_dir, exist_ok=True)
 
@@ -546,29 +522,21 @@ def run_phase_diagram(config: RunConfig, rundir: RunDir, workers=None,
 
     merged = []
     all_ok = True
-    jobs = [(config_mapping, config.seed, i, dc, caps[i] if caps else None)
+    jobs = [(config, i, dc, caps[i] if caps else None)
             for i, dc in enumerate(deltas)]
     for index, rows, ok in _map_points(_diagram_point, jobs, workers):
         merged.extend(rows)
         all_ok &= ok
         _atomic_write(os.path.join(points_dir, f"point_{index:04d}.csv"),
-                      _csv(SWEEP_HEADER, rows))
-    rundir.write("sweep.csv", _csv(SWEEP_HEADER, merged))
+                      csv_table(SWEEP_HEADER, rows))
+    rundir.write("sweep.csv", csv_table(SWEEP_HEADER, merged))
     rundir.stage_done("sweep")
     return merged, all_ok
 
 
-def _mapping_from_config(config: RunConfig):
-    """Round-trip the resolved config through its textual form (picklable,
-    and guarantees workers see exactly what the echo records)."""
-    return parse_key_value_text(format_resolved(config))
-
-
-def _ensemble_point(config_mapping, base_seed, index, eta, mirrored):
+def _ensemble_point(sim, config, index, eta, mirrored):
     """Worker: one relaxed ground state; returns its ensemble.csv row."""
-    config = resolve_config(config_mapping, seed=base_seed)
-    sim = build_sim(config)
-    seed = point_seed(base_seed, index)
+    seed = point_seed(config.seed, index)
     psi0 = sim.initial_state(seed=seed, noise=config.noise_amplitude)
     if mirrored:
         # shift the noise realization by half a pump wavelength along the
@@ -618,8 +586,8 @@ def run_symmetry_ensemble(config: RunConfig, rundir: RunDir = None,
     sign hypothesis.
     """
     eta = ensemble_eta(config)
-    mapping = _mapping_from_config(config)
-    jobs = [(mapping, config.seed, i, eta, mirrored)
+    sim = build_sim(config)
+    jobs = [(sim, config, i, eta, mirrored)
             for i in range(config.n_seeds)
             for mirrored in ((False, True) if mirrored_pairs else (False,))]
     ordered = list(_map_points(_ensemble_point, jobs, workers))
@@ -639,7 +607,7 @@ def run_symmetry_ensemble(config: RunConfig, rundir: RunDir = None,
     }
     if rundir is not None:
         rundir.write("ensemble.csv",
-                     _csv(ENSEMBLE_HEADER + ",mirrored", ordered))
+                     csv_table(ENSEMBLE_HEADER + ",mirrored", ordered))
         rundir.write("ensemble_stats.json",
                      json.dumps(stats, indent=2, sort_keys=True) + "\n")
         rundir.stage_done("ensemble")
@@ -665,7 +633,7 @@ def run_dicke_ed(config: RunConfig, rundir: RunDir = None):
         rows.append((lam, obs["photon_fraction"], obs["inversion"],
                      obs["order"], obs["gap"]))
     if rundir is not None:
-        rundir.write("eigen.csv", _csv(ED_HEADER, rows))
+        rundir.write("eigen.csv", csv_table(ED_HEADER, rows))
         rundir.stage_done("dicke-ed")
     return rows
 

@@ -1,9 +1,13 @@
+import copy
 import json
 import math
 import os
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import binomtest
 
 import selforg.sweeps as sweeps
@@ -59,6 +63,31 @@ def write_ideal_config(path, extra=None):
     return str(path)
 
 
+def _field_values(f):
+    """Every value of a run key's type that a config file can hold."""
+    if f.name == "engine":
+        return st.sampled_from(sweeps.ENGINES)
+    if f.type is str:       # one token: no '#', line break or blank
+        return st.from_regex(r"[A-Za-z0-9_.+-]+", fullmatch=True)
+    if f.type is bool:
+        return st.booleans()
+    if f.type is int:
+        return st.integers()
+    if f.type is float:
+        return st.floats()
+    return st.lists(st.floats()).map(tuple)
+
+
+def _same(a, b):
+    """Equal values of equal type; NaN equals NaN, -0.0 differs from 0.0."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) \
+            and all(map(_same, a, b))
+    if isinstance(a, float):
+        return isinstance(b, float) and repr(a) == repr(b)
+    return type(a) is type(b) and a == b
+
+
 class TestConfig:
     def test_defaults_and_unknown_keys(self):
         config = default_config()
@@ -70,6 +99,8 @@ class TestConfig:
             resolve_config({"engine": "vortex"})
         with pytest.raises(ConfigError, match="bad value"):
             resolve_config({"grid_points_x": "a few"})
+        with pytest.raises(ConfigError, match="bad value"):
+            resolve_config({"n_seeds": "inf"})
 
     def test_overrides_and_lists(self):
         config = default_config(overrides=["delta_c_list=-1e8,-2e8",
@@ -90,6 +121,30 @@ class TestConfig:
         assert format_resolved(again) == text
         assert again.delta_c_list == (-1e8,)
         assert again.power_end == 0.7e-3
+
+    def test_config_survives_copying(self):
+        config = default_config(overrides=["delta_c_list=-1e8,-2e8",
+                                           "trap=false", "ensemble_eta=0.5"],
+                                seed=7)
+        for copied in (pickle.loads(pickle.dumps(config)),
+                       copy.deepcopy(config)):
+            # compare echoes: the unset NaN defaults come back as new NaN
+            # objects, so == on the dataclass is False
+            assert format_resolved(copied) == format_resolved(config)
+            assert copied.params == config.params
+            assert copied.seed == config.seed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({f.name: _field_values(f)
+                                  for f in sweeps._RUN_FIELDS}))
+    def test_echo_round_trip_of_every_field(self, values):
+        config = replace(default_config(), **values)
+        text = format_resolved(config)
+        again = resolve_config(sweeps.parse_key_value_text(text))
+        assert format_resolved(again) == text
+        assert again.params == config.params
+        for name, value in values.items():
+            assert _same(getattr(again, name), value), name
 
     def test_point_seed_deterministic(self):
         assert point_seed(7, 3) == point_seed(7, 3)
@@ -206,7 +261,7 @@ def test_cli_ramp_snapshots(tmp_path):
     assert peaks.splitlines()[0] == sweeps.PEAKS_HEADER
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("definitely_not_a_key = 3\n")
     assert cli.main(["ramp", "--config", str(bad),
@@ -233,7 +288,9 @@ def test_cli_exit_codes(tmp_path):
         "boundary": ["scattering_length=0", "delta_c_list=-1e8"],
         "dicke-ed": ["dicke_omega0=0"],
         "ensemble": ["scattering_length=0", "ensemble_eta=1", "n_seeds=1"],
+        "dicke-ode": ["dicke_omega0=0"],
     }
+    capsys.readouterr()
     for command, overrides in failing.items():
         out = tmp_path / f"fail-{command}"
         argv = [command, "--out", str(out), "--workers", "2"]
@@ -242,6 +299,11 @@ def test_cli_exit_codes(tmp_path):
         assert cli.main(argv) == cli.EXIT_ENGINE, command
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "engine-failure", command
+        # the message names the engine that ran, not the config's default
+        err = capsys.readouterr().err
+        assert "engine failure" in err and "engine=gpe" not in err, command
+        if command == "dicke-ode":
+            assert "engine=dicke-semiclassical" in err
 
 
 @pytest.mark.slow
@@ -267,6 +329,32 @@ def test_diagram_sweep_and_empty_power_list(tmp_path):
     assert cli.main(["diagram", "--config", cfg2, "--out", out2]) == cli.EXIT_OK
     assert open(os.path.join(out2, "sweep.csv")).read().strip() \
         == sweeps.SWEEP_HEADER
+
+
+@pytest.mark.slow
+def test_sweep_files_do_not_depend_on_workers(tmp_path):
+    # determinism contract: a sweep's points give the same data files
+    # whether they run in this process or in a pool of two
+    deltas = [(-OMEGA_EFF + U0_SCALED * N_AT / 2) * W_R,
+              (-1.3 * OMEGA_EFF + U0_SCALED * N_AT / 2) * W_R]
+    cfg = write_ideal_config(tmp_path / "det.cfg", extra={
+        "delta_c_list": ",".join(repr(v) for v in deltas),
+        "power_list": "1e-4,9e-4", "ramp_time": repr(30.0 / W_R),
+        "n_seeds": "2", "noise_amplitude": "1e-2",
+        "ensemble_eta": repr(2 * 1.3 * LAM_CR / math.sqrt(N_AT))})
+    files = {}
+    for workers in (1, 2):
+        config = load_config(cfg, seed=5)
+        path = tmp_path / f"workers{workers}"
+        rd = RunDir(str(path), config)
+        run_phase_diagram(config, rd, workers=workers)
+        run_symmetry_ensemble(config, rd, workers=workers)
+        sweep = [line.rsplit(",", 1)[0]       # without wall_time_s
+                 for line in (path / "sweep.csv").read_text().splitlines()]
+        files[workers] = (sweep, (path / "ensemble.csv").read_text(),
+                          (path / "config.resolved").read_text())
+    assert len(files[1][0]) == 1 + 2 * 2
+    assert files[1] == files[2]
 
 
 def test_diagram_partial_failure_persists_points(tmp_path, monkeypatch):

@@ -324,16 +324,15 @@ def integrate_semiclassical_ramp(s0: SemiclassicalState, p: DickeParams,
     lam_rec = np.empty(n_rec)
     s = s0
     p_now = p
-    idx = 0
     for i in range(n_steps + 1):
         now = i * dt
-        if i % record_every == 0 and idx < n_rec:
+        if i % record_every == 0:
+            idx = i // record_every
             t[idx] = now
             alpha[idx] = s.alpha
             jz[idx] = s.j_z
             order[idx] = 2.0 * s.j_minus.real
             lam_rec[idx] = coupling_of_t(now)
-            idx += 1
         if i == n_steps:
             break
         # piecewise-frozen coupling across the step keeps RK4 simple; the
@@ -350,10 +349,8 @@ def integrate_semiclassical_ramp(s0: SemiclassicalState, p: DickeParams,
                     f"semiclassical trajectory diverged at t={now:g} "
                     f"(|alpha|^2={a2:g}); reduce dt or check parameters")
     return {
-        "t": t[:idx], "alpha": alpha[:idx],
-        "photon_frac": np.abs(alpha[:idx]) ** 2,
-        "jz": jz[:idx], "order": order[:idx], "coupling": lam_rec[:idx],
-        "state": s,
+        "t": t, "alpha": alpha, "photon_frac": np.abs(alpha) ** 2,
+        "jz": jz, "order": order, "coupling": lam_rec, "state": s,
     }
 
 

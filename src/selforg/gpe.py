@@ -17,9 +17,10 @@ where phi_c = cos(x) exp(-z^2/wc^2) and phi_p = cos(z) exp(-x^2/wx^2) are the
 mode profiles evaluated in the y = 0 plane (pure cosines in cos-only mode).
 
 Propagation is Strang split-step: half kinetic, full potential, half
-kinetic, with alpha updated once per step from the pre-step density.  The
-same splitting runs in imaginary time for ground states, with the field
-renormalized to the atom number after every step.
+kinetic.  One loop runs both real and imaginary time (ground states, with
+the field renormalized to the atom number after every step).  It builds
+the kinetic factor once per propagation and takes alpha once per step from
+the pre-step density, which makes the cavity coupling first order in dt.
 """
 
 import math
@@ -209,22 +210,26 @@ class CondensateSim:
 
     # -- propagation ------------------------------------------------------
 
-    def _step(self, psi, eta, dt, imaginary):
-        """One Strang step; alpha from the pre-step density."""
-        alpha, op = self.alpha_of(psi, eta)
-        if imaginary:
-            exp_k = np.exp(-self.ksq * (dt / 2))
-            phase = -dt
-        else:
-            exp_k = np.exp(-1j * self.ksq * (dt / 2))
-            phase = -1j * dt
-        psi = sfft.ifft2(exp_k * sfft.fft2(psi))
-        v = self.potential(eta, alpha)
-        if self.g2d:
-            v = v + self.g2d * np.abs(psi) ** 2
-        psi = np.exp(phase * v) * psi
-        psi = sfft.ifft2(exp_k * sfft.fft2(psi))
-        return psi, alpha, op
+    def _strang_steps(self, psi, ramp, dt, n_steps, imaginary):
+        """Yield (psi, power, eta, alpha, op) at t = i*dt for i = 0..n_steps;
+        step i then uses that alpha, taken from the pre-step density."""
+        unit = 1.0 if imaginary else 1j     # exp(-unit * dt * H)
+        exp_k = np.exp(-unit * self.ksq * (dt / 2))
+        phase = -unit * dt
+        for i in range(n_steps + 1):
+            power, eta = ramp(i * dt)
+            alpha, op = self.alpha_of(psi, eta)
+            yield psi, power, eta, alpha, op
+            if i == n_steps:
+                return
+            psi = sfft.ifft2(exp_k * sfft.fft2(psi))
+            v = self.potential(eta, alpha)
+            if self.g2d:
+                v = v + self.g2d * np.abs(psi) ** 2
+            psi = np.exp(phase * v) * psi
+            psi = sfft.ifft2(exp_k * sfft.fft2(psi))
+            if imaginary:
+                psi = self.renormalize(psi)
 
     def imaginary_time_ground_state(self, eta, *, seed=None, noise=1e-4,
                                     dtau=2e-3, tol_energy=1e-10,
@@ -247,12 +252,12 @@ class CondensateSim:
         check_every = 10
         window = 30
         e_hist, th_hist = [], []
-        for step in range(1, max_steps + 1):
-            psi, alpha, _ = self._step(psi, eta, dtau, imaginary=True)
-            psi = self.renormalize(psi)
-            if step % check_every == 0:
-                e_hist.append(self.energy(psi, eta))
-                th_hist.append(self.order_parameters(psi).theta)
+        steps = self._strang_steps(psi, lambda t: (math.nan, eta), dtau,
+                                   max_steps, imaginary=True)
+        for step, (psi, _, _, alpha, op) in enumerate(steps):
+            if step and step % check_every == 0:
+                e_hist.append(self.energy(psi, eta, alpha))
+                th_hist.append(op.theta)
                 if len(e_hist) >= window:
                     e_win = e_hist[-window:]
                     th_win = th_hist[-window:]
@@ -262,7 +267,6 @@ class CondensateSim:
                         + tol_theta * n
                     if (e_span < tol_energy * n * window * check_every
                             and th_span < tol_theta * n and not growing):
-                        alpha, op = self.alpha_of(psi, eta)
                         self._check_edges(psi, "imaginary time")
                         return {"psi": psi, "alpha": alpha, "theta": op.theta,
                                 "bunching": op.bunching, "energy": e_hist[-1],
@@ -274,15 +278,17 @@ class CondensateSim:
         raise err
 
     def real_time_evolve(self, psi0, ramp, t_final, dt, *, record_every=1,
-                         renormalize=False, edge_check_every=2000,
-                         snapshot_times=None):
+                         edge_check_every=2000, snapshot_times=None):
         """Propagate psi0 under a pump schedule; returns the trajectory.
 
         ramp is a callable t -> (power_watt, eta_scaled); see PowerRamp.
         Records t, P, eta, alpha, photon number, Theta, B and the norm every
-        ``record_every`` steps.  Norm drift beyond 1e-6 relative per 1000
-        steps aborts (the splitting is unitary, so drift means blow-up).
-        ``snapshot_times`` requests (time, psi-copy) pairs under "snapshots".
+        ``record_every`` steps.  The kinetic factor is built once per
+        propagation; alpha comes from the pre-step density, once per step,
+        which makes the cavity coupling first order in dt.  Norm drift
+        beyond 1e-6 relative per 1000 steps aborts (the splitting is
+        unitary, so drift means blow-up).  ``snapshot_times`` requests
+        (time, psi-copy) pairs under "snapshots".
         """
         psi = np.array(psi0, dtype=complex)
         n_steps = max(1, int(round(t_final / dt)))
@@ -293,15 +299,15 @@ class CondensateSim:
             "nphoton": np.empty(n_rec), "theta": np.empty(n_rec),
             "bunching": np.empty(n_rec), "norm": np.empty(n_rec),
         }
-        norm0 = self.norm(psi)
         snaps = []
         want = sorted(snapshot_times) if snapshot_times else []
-        idx = 0
-        for i in range(n_steps + 1):
+        steps = self._strang_steps(psi, ramp, dt, n_steps, imaginary=False)
+        for i, (psi, power, eta, alpha, op) in enumerate(steps):
             t = i * dt
-            power, eta = ramp(t)
-            if i % record_every == 0 and idx < n_rec:
-                alpha, op = self.alpha_of(psi, eta)
+            if edge_check_every and i and i % edge_check_every == 0:
+                self._check_edges(psi, f"real time (t={(i - 1) * dt:g})")
+            if i % record_every == 0:
+                idx = i // record_every
                 nrm = self.norm(psi)
                 rec["t"][idx] = t
                 rec["power"][idx] = power
@@ -313,23 +319,13 @@ class CondensateSim:
                 rec["norm"][idx] = nrm
                 if not np.isfinite(nrm):
                     raise DivergenceError(f"norm is not finite at t={t:g}")
-                drift = abs(nrm / norm0 - 1.0)
-                if not renormalize and drift > 1e-6 * max(1.0, i / 1000.0):
+                drift = abs(nrm / rec["norm"][0] - 1.0)
+                if drift > 1e-6 * max(1.0, i / 1000.0):
                     raise DivergenceError(
                         f"norm drift {drift:.3e} after {i} steps; "
                         "step size too large")
-                idx += 1
             while want and t >= want[0] - 1e-12:
                 snaps.append((want.pop(0), psi.copy()))
-            if i == n_steps:
-                break
-            psi, _, _ = self._step(psi, eta, dt, imaginary=False)
-            if renormalize:
-                psi = self.renormalize(psi)
-            if edge_check_every and i % edge_check_every == edge_check_every - 1:
-                self._check_edges(psi, f"real time (t={t:g})")
-        for key in rec:
-            rec[key] = rec[key][:idx]
         rec["psi"] = psi
         rec["snapshots"] = snaps
         return rec

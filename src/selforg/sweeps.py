@@ -180,12 +180,14 @@ def default_config(overrides=(), seed=0):
 
 
 def _resolve_with_overrides(mapping, overrides, seed):
-    """Apply ``key=value`` overrides on top of ``mapping``, then resolve."""
+    """Apply ``key=value`` overrides, each read as one config-file line,
+    on top of ``mapping``, then resolve."""
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        try:
+            (key, value), = parse_key_value_text(item).items()
+        except ValueError as exc:   # a ParameterError, or not one key
+            raise ConfigError(f"override {item!r}: {exc}") from exc
+        mapping[key] = value
     return resolve_config(mapping, seed=seed)
 
 

@@ -230,6 +230,29 @@ def test_spatial_shift_covariance():
     assert np.abs(rec_c["theta"] - rec_a["theta"]).max() < 1e-9 * scale
 
 
+def test_recording_is_observation_only():
+    # the record and the snapshots only read the propagation's state:
+    # recording every third step and taking snapshots leaves the field bit
+    # for bit as it is, and the rows are every third row of the full record
+    sim = ideal_sim()
+    psi0 = sim.initial_state(seed=9, noise=1e-2)
+    ramp = EtaRamp([(0.0, 0.0), (0.12, eta_of(1.5))])
+    every = sim.real_time_evolve(psi0, ramp, 0.12, 4e-3)
+    sparse = sim.real_time_evolve(psi0, ramp, 0.12, 4e-3, record_every=3,
+                                  snapshot_times=[0.06, 0.12])
+    half = sim.real_time_evolve(psi0, ramp, 0.06, 4e-3)
+    assert np.abs(every["theta"]).max() > 0 and every["eta"][-1] > 0
+    assert np.array_equal(sparse["psi"], every["psi"])
+    for key in ("t", "power", "eta", "alpha", "nphoton", "theta", "bunching",
+                "norm"):
+        assert np.array_equal(sparse[key], every[key][::3],
+                              equal_nan=True), key
+    (t_a, psi_a), (t_b, psi_b) = sparse["snapshots"]
+    assert (t_a, t_b) == (0.06, 0.12)
+    assert np.array_equal(psi_a, half["psi"])
+    assert np.array_equal(psi_b, every["psi"])
+
+
 # ---------------------------------------------------------------------------
 # imaginary time
 # ---------------------------------------------------------------------------
@@ -293,10 +316,16 @@ def test_organized_amplitude_matches_static_oracle():
     # by a factor ~1.55 (and ~1.51 asymptotically at threshold), so only the
     # full self-consistency is a valid amplitude oracle for this engine.
     sim = ideal_sim()
-    gs = sim.imaginary_time_ground_state(eta_of(1.3), seed=5, noise=1e-2)
+    eta = eta_of(1.3)
+    gs = sim.imaginary_time_ground_state(eta, seed=5, noise=1e-2)
     assert abs(gs["theta"]) / N_AT == pytest.approx(0.62568, rel=1.5e-2)
     two_mode = math.sqrt(1 - (1 / 1.3**2) ** 2) / 2
     assert 1.3 < abs(gs["theta"]) / N_AT / two_mode < 1.8
+    # the returned observables are exactly those of the returned field
+    alpha, op = sim.alpha_of(gs["psi"], eta)
+    assert (gs["alpha"], gs["theta"], gs["bunching"]) == (
+        alpha, op.theta, op.bunching)
+    assert gs["energy"] == sim.energy(gs["psi"], eta)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import binomtest
 
 import selforg.sweeps as sweeps
@@ -145,6 +145,22 @@ class TestConfig:
         assert again.params == config.params
         for name, value in values.items():
             assert _same(getattr(again, name), value), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(alphabet="ab #=\t\n\r"), st.text()))
+    @example("a#b")
+    @example("")
+    def test_override_is_one_config_line(self, text):
+        # an accepted override is what the config file would hold: its echo
+        # reloads to the same text
+        try:
+            config = default_config([f"sigma_y_mode={text}"])
+        except ConfigError:
+            return
+        echo = format_resolved(config)
+        again = resolve_config(sweeps.parse_key_value_text(echo))
+        assert format_resolved(again) == echo
+        assert again.sigma_y_mode == config.sigma_y_mode
 
     def test_point_seed_deterministic(self):
         assert point_seed(7, 3) == point_seed(7, 3)

@@ -15,6 +15,16 @@ Identifying omega = -Dt, omega0 = 2*omega_r + 4*E_int/hbar and
 lambda_cr = eta_cr*sqrt(N_eff) makes this exactly the critical coupling of
 the dissipative Dicke model (dicke.critical_coupling); the two expressions
 are kept as independent code paths so the equivalence stays testable.
+
+The overlaps B0 = integral n phi_c^2 and N_eff = integral n phi_c^2 phi_p^2
+are 3D integrals done as 2D quadratures: Gauss-Legendre nodes in
+s = sqrt(1 - rho^2) and trapezoid nodes in phi on the (x, z) ellipse
+x = Rx rho cos(phi), z = Rz rho sin(phi), with the y integral of the
+inverted parabola times the Gaussian mode factors in closed form (erf, or
+its power series near the rim of the cloud, where erf cancels).  E_int
+has the closed form of the Thomas-Fermi profile (Dalfovo, Giorgini,
+Pitaevskii & Stringari, Rev. Mod. Phys. 71, 463 (1999)).  The largest
+level the default doubling builds is (768, 1024) nodes, 6 MiB per array.
 """
 
 import math
@@ -105,78 +115,102 @@ class OverlapIntegrals:
             raise ValueError("interaction energy must be >= 0")
 
 
-def _ball_quadrature_nodes(n_r, n_u, n_phi):
-    """Tensor nodes/weights over the unit ball in spherical coordinates.
+# Largest (n_s, n_phi) level the doubling may build: 2**21 nodes is
+# 16 MiB per float array; a call that would go beyond it raises
+# QuadratureError instead of allocating.
+_MAX_NODES = 2**21
 
-    Gauss-Legendre in the radius and in cos(theta), uniform (trapezoid) in
-    the periodic azimuth; smooth integrands converge spectrally, including
-    the oscillatory cos^2 mode factors once the node count resolves them.
+
+def _y_factor(b):
+    """F(b) = integral_{-1}^{1} (1 - t^2) exp(-b t^2) dt for an array b >= 0.
+
+    Below b = 1 the erf form cancels catastrophically (b -> 0 at the rim
+    of every cloud), so the series 4 sum_n (-b)^n / (n! (2n+1)(2n+3)) is
+    summed there; 20 terms put the truncation below 1e-22.
     """
-    r, wr = np.polynomial.legendre.leggauss(n_r)
-    r = 0.5 * (r + 1.0)
-    wr = 0.5 * wr * r * r
-    u, wu = np.polynomial.legendre.leggauss(n_u)       # u = cos(theta)
+    small = b < 1.0
+    minus_b = -b[small]
+    term = np.full(minus_b.shape, 4.0 / 3.0)
+    f_small = term.copy()
+    for n in range(1, 21):
+        term *= minus_b * (2 * n - 1) / (n * (2 * n + 3))
+        f_small += term
+    big = b[~small]
+    g0 = np.sqrt(np.pi / big) * np.array([math.erf(v) for v in np.sqrt(big)])
+    f = np.empty_like(b)
+    f[small] = f_small
+    f[~small] = g0 * (1.0 - 0.5 / big) + np.exp(-big) / big
+    return f
+
+
+def _overlaps_at_resolution(profile, params, n_s, n_phi):
+    """(N_eff, B0) on n_s x n_phi nodes of the (x, z) ellipse."""
+    u, wu = np.polynomial.legendre.leggauss(n_s)
+    s = 0.5 * (u + 1.0)
+    rho = np.sqrt(1.0 - s * s)[:, None]
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    wphi = np.full(n_phi, 2 * np.pi / n_phi)
-    return (r.reshape(-1, 1, 1), wr.reshape(-1, 1, 1),
-            u.reshape(1, -1, 1), wu.reshape(1, -1, 1),
-            phi.reshape(1, 1, -1), wphi.reshape(1, 1, -1))
-
-
-def _overlaps_at_resolution(profile, params, n_r, n_u, n_phi):
-    r, wr, u, wu, phi, wphi = _ball_quadrature_nodes(n_r, n_u, n_phi)
-    st = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-    x = profile.radius_x * r * st * np.cos(phi)
-    y = profile.radius_y * r * st * np.sin(phi)
-    z = profile.radius_z * r * u
+    x = profile.radius_x * rho * np.cos(phi)
+    z = profile.radius_z * rho * np.sin(phi)
     k = 2 * math.pi / params.pump_wavelength
-    phic2 = np.cos(k * x) ** 2 * np.exp(
-        -2.0 * (y * y + z * z) / params.cavity_waist**2)
-    phip2 = np.cos(k * z) ** 2 * np.exp(
-        -2.0 * x * x / params.pump_waist_x**2
-        - 2.0 * y * y / params.pump_waist_y**2)
-    dens_shape = profile.peak_density * (1.0 - r * r)    # no clamp inside ball
-    w = wr * wu * wphi * dens_shape
-    jac = profile.radius_x * profile.radius_y * profile.radius_z
-    b0 = jac * float((w * phic2).sum())
-    n_eff = jac * float((w * phic2 * phip2).sum())
-    norm = jac * float(w.sum())
-    n2 = jac * profile.peak_density**2 * float((wr * wu * wphi
-                                                * (1.0 - r * r) ** 2).sum())
-    return np.array([n_eff, b0, norm, n2])
+    a_c = 2.0 / params.cavity_waist**2
+    a_p = a_c + 2.0 / params.pump_waist_y**2
+    ry2s2 = (profile.radius_y * s) ** 2
+    # n0 * area element Rx Rz s ds dphi * the y integral Ry s^3 F(a Ry^2 s^2)
+    w = (profile.peak_density * profile.radius_x * profile.radius_y
+         * profile.radius_z * (np.pi / n_phi) * wu * s**4)
+    xz = np.cos(k * x) ** 2 * np.exp(-a_c * z * z)     # (x, z) part of phi_c^2
+    b0 = float(xz.sum(axis=1) @ (w * _y_factor(a_c * ry2s2)))
+    xz *= np.cos(k * z) ** 2 * np.exp(-2.0 * x * x / params.pump_waist_x**2)
+    n_eff = float(xz.sum(axis=1) @ (w * _y_factor(a_p * ry2s2)))
+    return np.array([n_eff, b0])
 
 
 def overlap_integrals(profile: ThomasFermiProfile, params: ExperimentParams,
-                      rtol=1e-7, start=(24, 24, 32), max_doublings=5):
-    """3D overlap integrals over the Thomas-Fermi ellipsoid.
+                      rtol=1e-7, start=(24, 32), max_doublings=5):
+    """Overlap integrals over the Thomas-Fermi ellipsoid.
 
     The oscillatory cos^2 factors are integrated numerically (the cloud
     spans only a few pump wavelengths along x and z, so the 1/2 average is
-    not assumed).  Node counts double until every integral is stable to
-    ``rtol`` relative; non-convergence raises QuadratureError carrying the
-    last estimate and error bound.
+    not assumed) on the (x, z) ellipse x = Rx rho cos(phi),
+    z = Rz rho sin(phi): Gauss-Legendre nodes in s = sqrt(1 - rho^2) and
+    the trapezoid rule in phi, area element Rx Rz s ds dphi, in which the
+    integrand is analytic.  Along y the integrand (s^2 - y^2/Ry^2)
+    exp(-a y^2) integrates in closed form to Ry s^3 F(a Ry^2 s^2) (see
+    ``_y_factor``; a = 2/w_c^2 for B0, 2/w_c^2 + 2/w_y^2 for N_eff).
+    E_int uses integral(n^2) = n0^2 Rx Ry Rz 32 pi/105 and needs no
+    quadrature.  The (n_s, n_phi) node counts double from ``start`` until
+    N_eff and B0 are stable to ``rtol`` relative; the default reaches at
+    most (768, 1024) nodes, 6 MiB per array.  Non-convergence, or a level
+    beyond 2**21 nodes, raises QuadratureError carrying the last estimate
+    and error bound.
     """
-    n_r, n_u, n_phi = start
-    prev = _overlaps_at_resolution(profile, params, n_r, n_u, n_phi)
-    for _ in range(max_doublings):
-        n_r, n_u, n_phi = 2 * n_r, 2 * n_u, 2 * n_phi
-        cur = _overlaps_at_resolution(profile, params, n_r, n_u, n_phi)
-        err = np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-300)
-        if err.max() < rtol:
-            n_eff, b0, _, n2 = cur
-            g = collision_strength(params)
-            e_int = g / (2.0 * profile.atom_number) * n2
-            dt = params.pump_cavity_detuning \
-                - params.single_atom_lightshift * b0
-            _validate_overlaps(n_eff, b0, e_int, profile.atom_number)
-            return OverlapIntegrals(n_eff=n_eff, bunching_0=b0,
-                                    interaction_energy=e_int,
-                                    shifted_detuning=dt)
-        prev = cur
-    raise QuadratureError(
-        f"overlap quadrature not converged to rtol={rtol:g} at "
-        f"({n_r},{n_u},{n_phi}) nodes", estimate=prev,
-        error_bound=float(err.max()))
+    n_s, n_phi = start
+    est, nodes, err = None, None, math.inf
+    for _ in range(max_doublings + 1):
+        if n_s * n_phi > _MAX_NODES:
+            break
+        prev = est
+        est = _overlaps_at_resolution(profile, params, n_s, n_phi)
+        nodes = (n_s, n_phi)
+        if prev is not None:
+            err = float((np.abs(est - prev)
+                         / np.maximum(np.abs(est), 1e-300)).max())
+            if err < rtol:
+                break
+        n_s, n_phi = 2 * n_s, 2 * n_phi
+    if not err < rtol:
+        raise QuadratureError(
+            f"overlap quadrature not converged to rtol={rtol:g} (last "
+            f"level {nodes}, at most {_MAX_NODES} nodes per level)",
+            estimate=est, error_bound=err)
+    n_eff, b0 = est
+    n2 = profile.peak_density**2 * profile.radius_x * profile.radius_y \
+        * profile.radius_z * 32 * math.pi / 105
+    e_int = collision_strength(params) / (2.0 * profile.atom_number) * n2
+    dt = params.pump_cavity_detuning - params.single_atom_lightshift * b0
+    _validate_overlaps(n_eff, b0, e_int, profile.atom_number)
+    return OverlapIntegrals(n_eff=n_eff, bunching_0=b0,
+                            interaction_energy=e_int, shifted_detuning=dt)
 
 
 def _validate_overlaps(n_eff, b0, e_int, n):

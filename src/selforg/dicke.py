@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 class DivergenceError(RuntimeError):
@@ -82,9 +80,13 @@ def has_transition(omega):
 
 # ---------------------------------------------------------------------------
 # exact diagonalization, symmetric sector
+#
+# scipy.sparse is imported inside the functions that use it: a ramp or an
+# ensemble never builds a Hamiltonian and should not pay for the import.
 # ---------------------------------------------------------------------------
 
 def _spin_matrices(n_atoms):
+    import scipy.sparse as sp
     j = n_atoms / 2.0
     m = -j + np.arange(n_atoms + 1)
     jz = sp.diags(m)
@@ -95,6 +97,7 @@ def _spin_matrices(n_atoms):
 
 
 def _boson_matrices(n_max):
+    import scipy.sparse as sp
     n = np.arange(n_max + 1)
     num = sp.diags(n.astype(float))
     adag = sp.diags(np.sqrt(n[1:].astype(float)), -1)
@@ -108,6 +111,7 @@ def build_hamiltonian(p: DickeParams, n_max):
     term uses c1^dag c1 = Jz + N/2 and is parity even, so the parity symmetry
     of the Dicke Hamiltonian is preserved either way.
     """
+    import scipy.sparse as sp
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     dim = (p.n_atoms + 1) * (n_max + 1)
@@ -155,6 +159,7 @@ def ground_state(h):
     if dim <= _DENSE_CAP:
         w, v = np.linalg.eigh(h.toarray())
         return w[:2], v[:, 0]
+    import scipy.sparse.linalg as spla
     v0 = np.ones(dim) / math.sqrt(dim)
     try:
         w, v = spla.eigsh(h, k=2, which="SA", v0=v0)
@@ -172,6 +177,7 @@ def ground_state_observables(p: DickeParams, n_max):
     identically; superradiance shows up in the photon fraction (and in the
     closing gap), not in the bare order parameter.
     """
+    import scipy.sparse as sp
     h = build_hamiltonian(p, n_max)
     w, psi = ground_state(h)
     nb = p.n_atoms + 1

@@ -305,7 +305,7 @@ class CondensateSim:
         for i, (psi, power, eta, alpha, op) in enumerate(steps):
             t = i * dt
             if edge_check_every and i and i % edge_check_every == 0:
-                self._check_edges(psi, f"real time (t={(i - 1) * dt:g})")
+                self._check_edges(psi, f"real time (t={t:g})")
             if i % record_every == 0:
                 idx = i // record_every
                 nrm = self.norm(psi)

@@ -253,6 +253,8 @@ def format_value(value):
     """One field of a data file or config echo: true/false for a boolean,
     the repr of the float for a number (a numpy scalar's repr is not a
     number), str() otherwise."""
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, float, np.integer, np.floating)):
@@ -264,7 +266,7 @@ def csv_table(header, rows):
     """CSV text: the header line, then one line of fields per row."""
     lines = [header]
     for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+        lines.append(",".join(map(format_value, row)))
     return "\n".join(lines) + "\n"
 
 

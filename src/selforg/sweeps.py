@@ -289,16 +289,16 @@ ENSEMBLE_HEADER = "seed,sign,theta,nphoton,energy"
 
 
 def gpe_trajectory_csv(rec):
-    rows = zip(rec["t"], rec["power"], rec["eta"],
-               rec["alpha"].real, rec["alpha"].imag, rec["nphoton"],
-               rec["theta"], rec["bunching"], rec["norm"])
-    return csv_table(GPE_TRAJ_HEADER, rows)
+    cols = (rec["t"], rec["power"], rec["eta"],
+            rec["alpha"].real, rec["alpha"].imag, rec["nphoton"],
+            rec["theta"], rec["bunching"], rec["norm"])
+    return csv_table(GPE_TRAJ_HEADER, zip(*(c.tolist() for c in cols)))
 
 
 def ode_trajectory_csv(rec):
-    rows = zip(rec["t"], rec["alpha"].real, rec["alpha"].imag,
-               rec["photon_frac"], rec["jz"], rec["order"])
-    return csv_table(ODE_TRAJ_HEADER, rows)
+    cols = (rec["t"], rec["alpha"].real, rec["alpha"].imag,
+            rec["photon_frac"], rec["jz"], rec["order"])
+    return csv_table(ODE_TRAJ_HEADER, zip(*(c.tolist() for c in cols)))
 
 
 def peaks_csv(peaks):

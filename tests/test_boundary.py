@@ -1,16 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selforg.constants import HBAR, BOHR_RADIUS
 from selforg.boundary import (ThomasFermiProfile, OverlapIntegrals,
                               QuadratureError, thomas_fermi,
                               overlap_integrals, critical_pump,
                               boundary_curve, boundary_table_csv,
-                              BOUNDARY_CSV_HEADER)
+                              BOUNDARY_CSV_HEADER, _y_factor)
 from selforg.dicke import critical_coupling
-from selforg.params import ExperimentParams, derive
+from selforg.params import ExperimentParams, collision_strength, derive
 
 TWO_PI = 2 * math.pi
 
@@ -70,14 +72,18 @@ def test_thomas_fermi_normalization_and_density():
     assert analytic == pytest.approx(tf.atom_number, rel=1e-6)
 
 
+def point_like_params():
+    return ExperimentParams(atom_number=100,
+                            trap_frequency_x=TWO_PI * 200e3,
+                            trap_frequency_y=TWO_PI * 200e3,
+                            trap_frequency_z=TWO_PI * 200e3,
+                            scattering_length=0.1 * BOHR_RADIUS)
+
+
 def test_overlap_point_like_cloud():
     # a cloud much smaller than both the wavelength and the waists sees the
     # profile maxima: N_eff -> N, B0 -> N
-    p = ExperimentParams(atom_number=100,
-                         trap_frequency_x=TWO_PI * 200e3,
-                         trap_frequency_y=TWO_PI * 200e3,
-                         trap_frequency_z=TWO_PI * 200e3,
-                         scattering_length=0.1 * BOHR_RADIUS)
+    p = point_like_params()
     tf = thomas_fermi(p)
     assert tf.radius_x < 0.05 * p.pump_wavelength
     ov = overlap_integrals(tf, p)
@@ -116,6 +122,105 @@ def test_interaction_energy_matches_tf_identity():
         2.0 / 7.0 * tf.chemical_potential, rel=1e-9)
 
 
+def ball_oracle(profile, params, n_r=96, n_u=96, n_phi=128):
+    """(N_eff, B0, integral n^2) by a 3D tensor quadrature over the ball.
+
+    Independent of the program's (x, z) quadrature: spherical coordinates
+    with Gauss-Legendre nodes in the radius and in cos(theta) and the
+    trapezoid rule in the azimuth, every factor evaluated at the 3D node.
+    About 10 MiB per array at the default resolution.
+    """
+    r, wr = np.polynomial.legendre.leggauss(n_r)
+    r = (0.5 * (r + 1.0)).reshape(-1, 1, 1)
+    wr = 0.5 * wr.reshape(-1, 1, 1) * r * r
+    u, wu = np.polynomial.legendre.leggauss(n_u)       # u = cos(theta)
+    u, wu = u.reshape(1, -1, 1), wu.reshape(1, -1, 1)
+    phi = (2 * np.pi * np.arange(n_phi) / n_phi).reshape(1, 1, -1)
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+    x = profile.radius_x * r * sin_t * np.cos(phi)
+    y = profile.radius_y * r * sin_t * np.sin(phi)
+    z = profile.radius_z * r * u
+    k = 2 * math.pi / params.pump_wavelength
+    phic2 = np.cos(k * x) ** 2 * np.exp(
+        -2.0 * (y * y + z * z) / params.cavity_waist**2)
+    phip2 = np.cos(k * z) ** 2 * np.exp(
+        -2.0 * x * x / params.pump_waist_x**2
+        - 2.0 * y * y / params.pump_waist_y**2)
+    jac = profile.radius_x * profile.radius_y * profile.radius_z \
+        * 2 * np.pi / n_phi
+    w = jac * profile.peak_density * wr * wu * (1.0 - r * r)
+    n2 = float((jac * profile.peak_density**2 * wr * wu
+                * (1.0 - r * r) ** 2).sum()) * n_phi
+    return float((w * phic2 * phip2).sum()), float((w * phic2).sum()), n2
+
+
+@pytest.mark.parametrize("params", [
+    ExperimentParams(),
+    point_like_params(),
+    ExperimentParams(cavity_waist=1.0, pump_waist_x=1.0, pump_waist_y=1.0),
+    ExperimentParams(atom_number=1e6),
+], ids=["default", "point-like", "wide-waist", "N=1e6"])
+def test_overlaps_match_ball_oracle(params):
+    tf = thomas_fermi(params)
+    ov = overlap_integrals(tf, params)
+    n_eff, b0, n2 = ball_oracle(tf, params)
+    assert ov.n_eff == pytest.approx(n_eff, rel=1e-9)
+    assert ov.bunching_0 == pytest.approx(b0, rel=1e-9)
+    e_int = collision_strength(params) / (2 * tf.atom_number) * n2
+    assert ov.interaction_energy == pytest.approx(e_int, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_atoms=st.floats(1e2, 1e6),
+       trap_hz=st.tuples(st.floats(100.0, 1000.0), st.floats(30.0, 1000.0),
+                         st.floats(100.0, 1000.0)),
+       waists=st.tuples(*[st.floats(10e-6, 1e-3)] * 3))
+def test_overlap_ordering_property(n_atoms, trap_hz, waists):
+    # phi_p^2 <= 1 and phi_c^2 <= 1 pointwise: 0 < N_eff <= B0 <= N, up to
+    # the rounding of a sum over the quadrature nodes.  The x and z trap
+    # frequencies stay >= 100 Hz, where the default levels resolve the cos^2
+    # fringes; a cloud hundreds of wavelengths across (N = 1e6 at 40 Hz)
+    # raises QuadratureError instead.
+    p = ExperimentParams(atom_number=n_atoms,
+                         trap_frequency_x=TWO_PI * trap_hz[0],
+                         trap_frequency_y=TWO_PI * trap_hz[1],
+                         trap_frequency_z=TWO_PI * trap_hz[2],
+                         cavity_waist=waists[0], pump_waist_x=waists[1],
+                         pump_waist_y=waists[2])
+    ov = overlap_integrals(thomas_fermi(p), p)
+    assert 0 < ov.n_eff <= ov.bunching_0 * (1 + 1e-12)
+    assert ov.bunching_0 <= n_atoms * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("b", [0.0, 1e-12, 1e-6, 0.5, 1 - 1e-12, 1.0,
+                               1 + 1e-12, 3.0, 50.0])
+def test_y_factor_against_gauss_legendre(b):
+    # F(b) = integral_{-1}^{1} (1 - t^2) exp(-b t^2) dt, series below b = 1
+    # and erf above; a 200-node Gauss-Legendre rule is exact to round-off
+    t, w = np.polynomial.legendre.leggauss(200)
+    ref = float((w * (1 - t * t) * np.exp(-b * t * t)).sum())
+    assert _y_factor(np.array([b]))[0] == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("max_doublings", [5, 12])
+def test_nonconvergence_raises_before_memory_grows(max_doublings):
+    # an unreachable rtol climbs through every level and must end in
+    # QuadratureError with a bounded allocation peak; 12 doublings would
+    # reach 10**11 nodes, so the node budget has to stop the climb
+    p = ExperimentParams(atom_number=1e6)
+    tf = thomas_fermi(p)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError) as err:
+            overlap_integrals(tf, p, rtol=1e-17, max_doublings=max_doublings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert err.value.error_bound > 0
+    assert err.value.estimate is not None
+
+
 def test_overlap_validation_and_nonconvergence():
     with pytest.raises(ValueError):
         OverlapIntegrals(n_eff=-1.0, bunching_0=1.0, interaction_energy=0.0,
@@ -123,7 +228,7 @@ def test_overlap_validation_and_nonconvergence():
     p = paper_params()
     tf = thomas_fermi(p)
     with pytest.raises(QuadratureError) as err:
-        overlap_integrals(tf, p, rtol=1e-14, start=(4, 4, 4), max_doublings=1)
+        overlap_integrals(tf, p, rtol=1e-14, start=(4, 4), max_doublings=1)
     assert err.value.estimate is not None
     assert err.value.error_bound > 0
 

@@ -5,7 +5,10 @@ Internals may move freely; these may not change without a deliberate edit
 here.
 """
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -134,3 +137,22 @@ def test_config_keys():
                 if f.name not in ("params", "seed")]
     assert sorted(run_keys + [f.name for f in fields(ExperimentParams)]) \
         == CONFIG_KEYS
+
+
+def test_cli_import_loads_no_heavy_scipy_modules():
+    # `import selforg.cli` must not load scipy.sparse (only the ED path
+    # needs it), scipy.stats or scipy.special.  scipy.fft, which gpe
+    # needs, loads scipy.special itself, so only modules beyond what
+    # numpy + scipy.fft load count.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(selforg.__file__)))
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "heavy = lambda: {m for m in sys.modules if m.split('.')[:2] in\n"
+        "    (['scipy', 'sparse'], ['scipy', 'special'], ['scipy', 'stats'])}\n"
+        "import numpy, scipy.fft\n"
+        "base = heavy()\n"
+        "import selforg.cli\n"
+        "print(sorted(heavy() - base))\n")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

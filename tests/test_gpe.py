@@ -196,14 +196,30 @@ def test_divergence_detection():
         sim.real_time_evolve(psi, lambda t: (0.0, 0.0), 1.0, 1e-3)
 
 
+def corner_cloud(sim):
+    """A normalized cloud sitting on a corner of the grid."""
+    x, z = sim.grid.x(), sim.grid.z()
+    return sim.renormalize(np.exp(
+        -((x - x.min()) ** 2 + (z - z.min()) ** 2) / 4.0).astype(complex))
+
+
 def test_edge_density_guard():
     sim = trapped_sim()
-    x, z = sim.grid.x(), sim.grid.z()
-    corner = sim.renormalize(np.exp(
-        -((x - x.min()) ** 2 + (z - z.min()) ** 2) / 4.0).astype(complex))
     with pytest.raises(GridError, match="edge"):
-        sim.real_time_evolve(corner, lambda t: (0.0, 0.0), 0.01, 1e-3,
-                             edge_check_every=1)
+        sim.real_time_evolve(corner_cloud(sim), lambda t: (0.0, 0.0), 0.01,
+                             1e-3, edge_check_every=1)
+
+
+def test_edge_guard_names_the_checked_field_time():
+    # the first check sees the field after edge_check_every steps, at
+    # t = edge_check_every * dt, and the error names that time
+    sim = trapped_sim()
+    corner = corner_cloud(sim)
+    every, dt = 3, 2.5e-3
+    with pytest.raises(GridError) as err:
+        sim.real_time_evolve(corner, lambda t: (0.0, 0.0), 0.05, dt,
+                             edge_check_every=every)
+    assert f"real time (t={every * dt:g})" in str(err.value)
 
 
 def test_spatial_shift_covariance():

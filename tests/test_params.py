@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from selforg.constants import HBAR
 from selforg.params import (ExperimentParams, ParameterError, derive,
                             cavity_profile, pump_profile, external_potential,
                             parse_key_value_text, params_from_mapping,
-                            format_params, with_pump_power, with_pump_depth)
+                            format_params, with_pump_power, with_pump_depth,
+                            csv_table)
 
 TWO_PI = 2 * math.pi
 
@@ -151,3 +153,16 @@ class TestParameterFile:
             parse_key_value_text("atom_number = 1\natom_number = 2")
         with pytest.raises(ParameterError):
             params_from_mapping({"atom_number": "lots"})
+
+
+@given(st.lists(st.tuples(*[st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]))] * 3),
+    max_size=20))
+def test_csv_table_same_text_for_numpy_and_list_columns(rows):
+    # trajectory tables hand csv_table .tolist() columns; the text must be
+    # the one numpy scalars give, for nan, +-inf and -0.0 too
+    cols = np.array(rows, dtype=float).reshape(-1, 3).T
+    as_numpy = csv_table("a,b,c", zip(*cols))
+    as_lists = csv_table("a,b,c", zip(*(c.tolist() for c in cols)))
+    assert as_numpy == as_lists

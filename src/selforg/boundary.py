@@ -19,9 +19,10 @@ are kept as independent code paths so the equivalence stays testable.
 The overlaps B0 = integral n phi_c^2 and N_eff = integral n phi_c^2 phi_p^2
 are 3D integrals done as 2D quadratures: Gauss-Legendre nodes in
 s = sqrt(1 - rho^2) and trapezoid nodes in phi on the (x, z) ellipse
-x = Rx rho cos(phi), z = Rz rho sin(phi), with the y integral of the
-inverted parabola times the Gaussian mode factors in closed form (erf, or
-its power series near the rim of the cloud, where erf cancels).  E_int
+x = Rx rho cos(phi), z = Rz rho sin(phi).  The (x, z) integrand is the
+square of params.mode_profiles at y = 0; the y integral of the inverted
+parabola times the Gaussian mode factors is in closed form (erf, or its
+power series near the rim of the cloud, where erf cancels).  E_int
 has the closed form of the Thomas-Fermi profile (Dalfovo, Giorgini,
 Pitaevskii & Stringari, Rev. Mod. Phys. 71, 463 (1999)).  The largest
 level the default doubling builds is (768, 1024) nodes, 6 MiB per array.
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .params import ExperimentParams, collision_strength, csv_table
+from .params import (ExperimentParams, collision_strength, csv_table,
+                     mode_profiles, _recoil_scale)
 
 
 class QuadratureError(RuntimeError):
@@ -61,9 +63,8 @@ class ThomasFermiProfile:
 
     def density(self, x, y, z):
         """max(0, (mu - V_harm)/g) evaluated through the stored radii."""
-        r2 = ((np.asarray(x) / self.radius_x) ** 2
-              + (np.asarray(y) / self.radius_y) ** 2
-              + (np.asarray(z) / self.radius_z) ** 2)
+        radii = (self.radius_x, self.radius_y, self.radius_z)
+        r2 = sum((np.asarray(c) / r) ** 2 for c, r in zip((x, y, z), radii))
         return self.peak_density * np.maximum(0.0, 1.0 - r2)
 
 
@@ -82,14 +83,8 @@ def thomas_fermi(params: ExperimentParams) -> ThomasFermiProfile:
     abar = math.sqrt(HBAR / (m * wbar))
     mu = 0.5 * HBAR * wbar * (15.0 * n * params.scattering_length / abar) ** 0.4
     g = collision_strength(params)
-    return ThomasFermiProfile(
-        chemical_potential=mu,
-        radius_x=math.sqrt(2 * mu / (m * wx * wx)),
-        radius_y=math.sqrt(2 * mu / (m * wy * wy)),
-        radius_z=math.sqrt(2 * mu / (m * wz * wz)),
-        peak_density=mu / g,
-        atom_number=n,
-    )
+    radii = (math.sqrt(2 * mu / (m * w * w)) for w in (wx, wy, wz))
+    return ThomasFermiProfile(mu, *radii, peak_density=mu / g, atom_number=n)
 
 
 @dataclass(frozen=True)
@@ -149,18 +144,19 @@ def _overlaps_at_resolution(profile, params, n_s, n_phi):
     s = 0.5 * (u + 1.0)
     rho = np.sqrt(1.0 - s * s)[:, None]
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    x = profile.radius_x * rho * np.cos(phi)
-    z = profile.radius_z * rho * np.sin(phi)
-    k = 2 * math.pi / params.pump_wavelength
+    k, _ = _recoil_scale(params)
+    x = k * profile.radius_x * rho * np.cos(phi)        # in 1/k
+    z = k * profile.radius_z * rho * np.sin(phi)
+    phi_c, phi_p = mode_profiles(params, x, 0.0, z)
     a_c = 2.0 / params.cavity_waist**2
     a_p = a_c + 2.0 / params.pump_waist_y**2
     ry2s2 = (profile.radius_y * s) ** 2
     # n0 * area element Rx Rz s ds dphi * the y integral Ry s^3 F(a Ry^2 s^2)
     w = (profile.peak_density * profile.radius_x * profile.radius_y
          * profile.radius_z * (np.pi / n_phi) * wu * s**4)
-    xz = np.cos(k * x) ** 2 * np.exp(-a_c * z * z)     # (x, z) part of phi_c^2
+    xz = phi_c * phi_c                  # (x, z) part of phi_c^2
     b0 = float(xz.sum(axis=1) @ (w * _y_factor(a_c * ry2s2)))
-    xz *= np.cos(k * z) ** 2 * np.exp(-2.0 * x * x / params.pump_waist_x**2)
+    xz *= phi_p * phi_p
     n_eff = float(xz.sum(axis=1) @ (w * _y_factor(a_p * ry2s2)))
     return np.array([n_eff, b0])
 
@@ -208,18 +204,11 @@ def overlap_integrals(profile: ThomasFermiProfile, params: ExperimentParams,
         * profile.radius_z * 32 * math.pi / 105
     e_int = collision_strength(params) / (2.0 * profile.atom_number) * n2
     dt = params.pump_cavity_detuning - params.single_atom_lightshift * b0
-    _validate_overlaps(n_eff, b0, e_int, profile.atom_number)
+    for name, value in (("N_eff", n_eff), ("B0", b0)):
+        if not (0 < value <= profile.atom_number * (1 + 1e-9)):
+            raise ValueError(f"{name}={value:g} outside (0, N]")
     return OverlapIntegrals(n_eff=n_eff, bunching_0=b0,
                             interaction_energy=e_int, shifted_detuning=dt)
-
-
-def _validate_overlaps(n_eff, b0, e_int, n):
-    if not (0 < n_eff <= n * (1 + 1e-9)):
-        raise ValueError(f"N_eff={n_eff:g} outside (0, N]")
-    if not (0 < b0 <= n * (1 + 1e-9)):
-        raise ValueError(f"B0={b0:g} outside (0, N]")
-    if e_int < 0:
-        raise ValueError("interaction energy must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +246,7 @@ def critical_pump(delta_c, integrals: OverlapIntegrals,
     if dt >= 0:
         return CriticalPoint(delta_c, dt, math.nan, math.nan, math.nan, False)
     kappa = params.cavity_decay
-    k = 2 * math.pi / params.pump_wavelength
-    omega_r = HBAR * k * k / (2 * params.atom_mass)
+    _, omega_r = _recoil_scale(params)
     omega0_eff = 2 * omega_r + 4 * integrals.interaction_energy / HBAR
     eta_cr = 0.5 * math.sqrt((dt * dt + kappa * kappa) / (-dt)) \
         * math.sqrt(omega0_eff) / math.sqrt(integrals.n_eff)

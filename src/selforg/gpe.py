@@ -13,8 +13,8 @@ with the cavity amplitude slaved to the density at every step,
     alpha = eta * Theta / (delta_c - u0 * B + i kappa),
     Theta = <phi_c phi_p>,  B = <phi_c^2>,
 
-where phi_c = cos(x) exp(-z^2/wc^2) and phi_p = cos(z) exp(-x^2/wx^2) are the
-mode profiles evaluated in the y = 0 plane (pure cosines in cos-only mode).
+where phi_c and phi_p are params.mode_profiles in the y = 0 plane (pure
+cosines without envelopes) and the trap is params.harmonic_trap there.
 
 Propagation is Strang split-step: half kinetic, full potential, half
 kinetic.  One loop runs both real and imaginary time (ground states, with
@@ -23,17 +23,32 @@ the kinetic factor once per propagation and takes alpha once per step from
 the pre-step density, which makes the cavity coupling first order in dt.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as sfft
 
+from . import boundary
 from .constants import HBAR
 from .dicke import DivergenceError, ConvergenceError
 from .grid import Grid2D, GridError
 from .params import (ExperimentParams, derive, collision_strength,
-                     eta_of_power)
+                     eta_of_power, harmonic_trap, mode_profiles)
+
+
+class _LazyFFT:
+    """Stands in for scipy.fft until the first FFT, then rebinds ``sfft``
+    to the module: scipy.fft loads scipy.special, which runs that take no
+    FFT (boundary, dicke-*) should not pay for at import."""
+
+    def __getattr__(self, name):
+        global sfft
+        import scipy.fft as sfft
+        return getattr(sfft, name)
+
+
+sfft = _LazyFFT()
 
 
 @dataclass(frozen=True)
@@ -73,41 +88,31 @@ class CondensateSim:
         self.params = params
         self.derived = derive(params)
         self.grid = grid
-        self.envelopes = envelopes
         self.trap = trap
         self.pump_lattice = pump_lattice
 
-        d = self.derived
-        k = d.wavenumber
-        w_r = d.recoil_frequency
+        w_r = self.derived.recoil_frequency
         self.n_atoms = params.atom_number
         self.kappa = params.cavity_decay / w_r
         self.delta_c = params.pump_cavity_detuning / w_r
         self.u0 = params.single_atom_lightshift / w_r
 
-        x = grid.x()
-        z = grid.z()
-        cos_x = np.cos(x)
-        cos_z = np.cos(z)
-        if envelopes:
-            env_c = np.exp(-(z / (k * params.cavity_waist)) ** 2)
-            env_p = np.exp(-(x / (k * params.pump_waist_x)) ** 2)
-        else:
-            env_c = np.ones_like(z)
-            env_p = np.ones_like(x)
-        self.prof_c = cos_x * env_c        # phi_c at y = 0
-        self.prof_p = env_p * cos_z        # phi_p at y = 0
-        self.prof_cc = self.prof_c * self.prof_p
-        self.prof_c2 = self.prof_c**2
-        self.prof_p2 = self.prof_p**2
-        if trap:
-            cx = (params.trap_frequency_x / (2 * w_r)) ** 2
-            cz = (params.trap_frequency_z / (2 * w_r)) ** 2
-            self.v_trap = cx * x**2 + cz * z**2
-        else:
-            self.v_trap = np.zeros((1, 1))
+        x, z = grid.x(), grid.z()
+        modes = params if envelopes else replace(
+            params, cavity_waist=math.inf, pump_waist_x=math.inf,
+            pump_waist_y=math.inf)
+        prof_c, prof_p = mode_profiles(modes, x, 0.0, z)
+        self.prof_cc = prof_c * prof_p
+        self.prof_c2 = prof_c**2
+        self.prof_p2 = prof_p**2
+        self.v_trap = harmonic_trap(params, x, 0.0, z) if trap else 0.0
         self.ksq = grid.ksq()
         self.g2d = self._reduce_interaction(sigma_y_mode, sigma_y)
+
+    @functools.cached_property
+    def cloud(self):
+        """3D Thomas-Fermi cloud of params, computed once, on first use."""
+        return boundary.thomas_fermi(self.params)
 
     def _reduce_interaction(self, mode, sigma_y):
         p, d = self.params, self.derived
@@ -116,8 +121,7 @@ class CondensateSim:
         if sigma_y is None:
             if mode == "thomas-fermi":
                 # R_y of the 3D Thomas-Fermi cloud; rms width is R_y/sqrt(7)
-                from .boundary import thomas_fermi
-                sigma_y = thomas_fermi(p).radius_y / math.sqrt(7.0)
+                sigma_y = self.cloud.radius_y / math.sqrt(7.0)
             elif mode == "harmonic":
                 sigma_y = math.sqrt(HBAR / (p.atom_mass * p.trap_frequency_y))
             else:
@@ -191,11 +195,9 @@ class CondensateSim:
         Gaussian inside one, plus optional multiplicative complex noise."""
         g = self.grid
         if self.trap:
-            from .boundary import thomas_fermi
             k = self.derived.wavenumber
-            tf = thomas_fermi(self.params)
-            sx = max(0.5 * k * tf.radius_x, 2.0)
-            sz = max(0.5 * k * tf.radius_z, 2.0)
+            sx = max(0.5 * k * self.cloud.radius_x, 2.0)
+            sz = max(0.5 * k * self.cloud.radius_z, 2.0)
             psi = np.exp(-(g.x() / sx) ** 2 - (g.z() / sz) ** 2).astype(complex)
         else:
             psi = np.ones((g.points_x, g.points_z), dtype=complex)
@@ -369,7 +371,6 @@ class CondensateSim:
         same critical-pump formula when comparing against this engine's own
         dynamics.
         """
-        from .boundary import OverlapIntegrals
         dens = np.abs(psi) ** 2
         da = self.grid.cell_area
         n_eff = float((self.prof_c2 * self.prof_p2 * dens).sum() * da)
@@ -378,16 +379,31 @@ class CondensateSim:
         e_int = e_int_scaled * self.derived.recoil_energy
         delta_tilde = self.params.pump_cavity_detuning \
             - self.params.single_atom_lightshift * b0
-        return OverlapIntegrals(n_eff=n_eff, bunching_0=b0,
-                                interaction_energy=e_int,
-                                shifted_detuning=delta_tilde)
+        return boundary.OverlapIntegrals(n_eff=n_eff, bunching_0=b0,
+                                         interaction_energy=e_int,
+                                         shifted_detuning=delta_tilde)
 
 
 # ---------------------------------------------------------------------------
 # pump schedules and threshold detection
 # ---------------------------------------------------------------------------
 
-class PowerRamp:
+class _Schedule:
+    """Piecewise-linear schedule through (time, value) breakpoints, held at
+    the end values outside them; a subclass names its value (``quantity``)."""
+
+    def __init__(self, breakpoints):
+        pts = sorted((float(t), float(v)) for t, v in breakpoints)
+        if len(pts) < 2:
+            raise ValueError(
+                f"need at least two (time, {self.quantity}) breakpoints")
+        self.times, self.values = map(np.array, zip(*pts))
+
+    def value_at(self, t):
+        return float(np.interp(t, self.times, self.values))
+
+
+class PowerRamp(_Schedule):
     """Piecewise-linear pump power P(t), converted to eta(t) on the fly.
 
     Breakpoints are (time, power) pairs; power is held at the last value
@@ -395,36 +411,29 @@ class PowerRamp:
     a linear power ramp is linear in eta^2.
     """
 
+    quantity = "power"
+
     def __init__(self, params: ExperimentParams, breakpoints):
-        pts = sorted((float(t), float(p)) for t, p in breakpoints)
-        if len(pts) < 2:
-            raise ValueError("need at least two (time, power) breakpoints")
-        if any(p < 0 for _, p in pts):
+        super().__init__(breakpoints)
+        if (self.values < 0).any():
             raise ValueError("pump power must be >= 0")
-        self.times = np.array([t for t, _ in pts])
-        self.powers = np.array([p for _, p in pts])
         self.params = params
         eta_of_power(params, 0.0)       # a wrong-sign calibration fails here
 
     def __call__(self, t):
-        p = float(np.interp(t, self.times, self.powers))
+        p = self.value_at(t)
         return p, eta_of_power(self.params, p)
 
 
-class EtaRamp:
+class EtaRamp(_Schedule):
     """Piecewise-linear ramp directly in the scaled two-photon Rabi
     frequency (power is reported as NaN; used in idealized runs where the
     power calibration is deliberately decoupled)."""
 
-    def __init__(self, breakpoints):
-        pts = sorted((float(t), float(e)) for t, e in breakpoints)
-        if len(pts) < 2:
-            raise ValueError("need at least two (time, eta) breakpoints")
-        self.times = np.array([t for t, _ in pts])
-        self.etas = np.array([e for _, e in pts])
+    quantity = "eta"
 
     def __call__(self, t):
-        return math.nan, float(np.interp(t, self.times, self.etas))
+        return math.nan, self.value_at(t)
 
 
 def detect_threshold(trajectory, *, baseline_fraction=0.05, floor_factor=10.0,

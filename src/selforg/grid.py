@@ -84,14 +84,12 @@ class Grid2D:
 
         Radii in units of 1/k.  Raises GridError when violated.
         """
-        if self.extent_x < MIN_TF_RADII * tf_radius_x:
-            raise GridError(
-                f"extent_x={self.extent_x:g} < {MIN_TF_RADII} TF radii "
-                f"({MIN_TF_RADII*tf_radius_x:g})")
-        if self.extent_z < MIN_TF_RADII * tf_radius_z:
-            raise GridError(
-                f"extent_z={self.extent_z:g} < {MIN_TF_RADII} TF radii "
-                f"({MIN_TF_RADII*tf_radius_z:g})")
+        for ext, radius, axis in ((self.extent_x, tf_radius_x, "x"),
+                                  (self.extent_z, tf_radius_z, "z")):
+            if ext < MIN_TF_RADII * radius:
+                raise GridError(
+                    f"extent_{axis}={ext:g} < {MIN_TF_RADII} TF radii "
+                    f"({MIN_TF_RADII*radius:g})")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ unless a function says otherwise.  Internally the dynamical engines work in
 recoil units: lengths in 1/k, times in 1/omega_r, energies in
 E_r = hbar * omega_r, where k = 2*pi/lambda_p is the pump wavenumber.
 
+The static geometry is written once, here, in recoil units: the mode
+profiles (mode_profiles) and the harmonic trap (harmonic_trap), which gpe
+and boundary evaluate; cavity_profile, pump_profile and external_potential
+are their SI forms.
+
 Sign conventions (red-detuned pump, the regime of interest):
     * the pump lattice depth V0 and the single-atom light shift U0 are both
       negative; the signed values are stored and propagated, never
@@ -67,12 +72,9 @@ class ExperimentParams:
             raise ParameterError("atom_number must be >= 1")
         if self.pump_wavelength <= 0 or self.atom_mass <= 0:
             raise ParameterError("pump_wavelength and atom_mass must be positive")
-        if self.cavity_decay <= 0:
-            raise ParameterError("cavity_decay must be positive")
-        for name in ("trap_frequency_x", "trap_frequency_y", "trap_frequency_z"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
-        for name in ("cavity_waist", "pump_waist_x", "pump_waist_y"):
+        for name in ("cavity_decay", "trap_frequency_x", "trap_frequency_y",
+                     "trap_frequency_z", "cavity_waist", "pump_waist_x",
+                     "pump_waist_y"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
         if self.pump_depth is not None and self.pump_power is not None:
@@ -108,6 +110,12 @@ class DerivedParams:
     effective_cavity_frequency: float   # omega = -Delta_c + U0*N/2, rad/s
 
 
+def _recoil_scale(params):
+    """(k, omega_r): pump wavenumber (1/m) and recoil frequency (rad/s)."""
+    k = 2 * math.pi / params.pump_wavelength
+    return k, HBAR * k * k / (2 * params.atom_mass)
+
+
 def derive(params: ExperimentParams) -> DerivedParams:
     """Populate every derived quantity from a validated parameter set.
 
@@ -115,8 +123,7 @@ def derive(params: ExperimentParams) -> DerivedParams:
     convention eta**2 = U0*V0/hbar that would make eta imaginary, which
     signals an inconsistent calibration rather than new physics.
     """
-    k = 2 * math.pi / params.pump_wavelength
-    omega_r = HBAR * k * k / (2 * params.atom_mass)
+    k, omega_r = _recoil_scale(params)
     v0 = params.effective_pump_depth()
     u0 = params.single_atom_lightshift
     eta_sq = u0 * v0 / HBAR
@@ -149,26 +156,41 @@ def eta_of_power(params: ExperimentParams, power):
     if coef < 0:
         raise ParameterError("U0 and the calibration constant must have the "
                              "same sign for eta to be real")
-    return math.sqrt(coef / derive(params).recoil_frequency**2 * power)
+    return math.sqrt(coef / _recoil_scale(params)[1] ** 2 * power)
 
 
 # ---------------------------------------------------------------------------
 # mode profiles and static potential
 # ---------------------------------------------------------------------------
 
+def mode_profiles(params, x, y, z):
+    """(phi_c, phi_p) at coordinates in 1/k: cos(x) exp(-(y/Wc)^2 - (z/Wc)^2)
+    and exp(-(x/Wx)^2 - (y/Wy)^2) cos(z), waists W = k*w.  Infinite waists
+    give the pure cosines exactly."""
+    w_c, w_x, w_y = (_recoil_scale(params)[0] * w for w in (
+        params.cavity_waist, params.pump_waist_x, params.pump_waist_y))
+    return (np.cos(x) * np.exp(-(y / w_c) ** 2 - (z / w_c) ** 2),
+            np.exp(-(x / w_x) ** 2 - (y / w_y) ** 2) * np.cos(z))
+
+
+def harmonic_trap(params, x, y, z):
+    """sum_i (omega_i / (2 omega_r))^2 x_i^2: the trap in E_r, x_i in 1/k."""
+    two_wr = 2 * _recoil_scale(params)[1]
+    return ((params.trap_frequency_x / two_wr) ** 2 * x**2
+            + (params.trap_frequency_y / two_wr) ** 2 * y**2
+            + (params.trap_frequency_z / two_wr) ** 2 * z**2)
+
+
 def cavity_profile(params, x, y, z):
     """phi_c = cos(kx) * exp(-(y^2+z^2)/w_c^2); dimensionless, SI coordinates."""
-    k = 2 * math.pi / params.pump_wavelength
-    return np.cos(k * np.asarray(x)) * np.exp(
-        -(np.asarray(y) ** 2 + np.asarray(z) ** 2) / params.cavity_waist**2)
+    k, _ = _recoil_scale(params)
+    return mode_profiles(params, *(k * np.asarray(c) for c in (x, y, z)))[0]
 
 
 def pump_profile(params, x, y, z):
     """phi_p = cos(kz) * exp(-x^2/w_x^2 - y^2/w_y^2)."""
-    k = 2 * math.pi / params.pump_wavelength
-    return np.cos(k * np.asarray(z)) * np.exp(
-        -np.asarray(x) ** 2 / params.pump_waist_x**2
-        - np.asarray(y) ** 2 / params.pump_waist_y**2)
+    k, _ = _recoil_scale(params)
+    return mode_profiles(params, *(k * np.asarray(c) for c in (x, y, z)))[1]
 
 
 def external_potential(params, x, y, z):
@@ -176,14 +198,10 @@ def external_potential(params, x, y, z):
 
     V_ext = m*(wx^2 x^2 + wy^2 y^2 + wz^2 z^2)/2 + V0 * phi_p^2.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    harm = 0.5 * params.atom_mass * (
-        params.trap_frequency_x**2 * x**2
-        + params.trap_frequency_y**2 * y**2
-        + params.trap_frequency_z**2 * z**2)
-    return harm + params.effective_pump_depth() * pump_profile(params, x, y, z) ** 2
+    k, omega_r = _recoil_scale(params)
+    r = [k * np.asarray(c) for c in (x, y, z)]
+    return HBAR * omega_r * harmonic_trap(params, *r) \
+        + params.effective_pump_depth() * mode_profiles(params, *r)[1] ** 2
 
 
 def collision_strength(params):

@@ -40,6 +40,7 @@ from .grid import Grid2D, save_field
 from .gpe import (CondensateSim, PowerRamp, EtaRamp, detect_threshold,
                   oscillation_metric)
 from . import dicke
+# thomas_fermi is unused here but traced on this module by perfbench/layers.py
 from .boundary import thomas_fermi, boundary_curve, boundary_table_csv
 
 
@@ -318,10 +319,9 @@ def build_sim(config: RunConfig):
                         pump_lattice=config.pump_lattice,
                         sigma_y_mode=config.sigma_y_mode, sigma_y=sigma_y)
     if config.trap:
-        d = derive(config.params)
-        tf = thomas_fermi(config.params)
-        grid.require_encloses_cloud(d.wavenumber * tf.radius_x,
-                                    d.wavenumber * tf.radius_z)
+        k = sim.derived.wavenumber
+        grid.require_encloses_cloud(k * sim.cloud.radius_x,
+                                    k * sim.cloud.radius_z)
     return sim
 
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from selforg import dicke
 from selforg.dicke import (DickeParams, build_hamiltonian, critical_coupling,
                            ground_state_observables,
                            converged_ground_state_observables,
@@ -136,3 +138,45 @@ def test_dimension_guard():
         build_hamiltonian(p, 200)
     with pytest.raises(ValueError):
         build_hamiltonian(DickeParams(omega=1, omega0=1, coupling=0.1), 0)
+
+
+def test_sparse_eigensolver_matches_dense(monkeypatch):
+    # below threshold (lam_cr = 0.5) the lowest pair is well separated, so
+    # the Lanczos path must reproduce the dense observables
+    p = DickeParams(omega=1.0, omega0=1.0, coupling=0.35, n_atoms=8)
+    dense_obs = ground_state_observables(p, 30)
+    monkeypatch.setattr(dicke, "_DENSE_CAP", 100)      # dimension 279
+    sparse_obs = ground_state_observables(p, 30)
+    for key in ("photon_fraction", "inversion", "gap"):
+        assert sparse_obs[key] == pytest.approx(dense_obs[key], abs=1e-8)
+    assert ground_state_observables(p, 30) == sparse_obs     # deterministic
+
+
+def test_sparse_eigensolver_above_dense_cap():
+    # dimension 66 * 61 = 4026 > 4000 takes the sparse path unpatched
+    p = DickeParams(omega=1.0, omega0=1.0, coupling=0.3, n_atoms=65)
+    assert (p.n_atoms + 1) * 61 > dicke._DENSE_CAP
+    obs = ground_state_observables(p, 60)
+    assert obs["gap"] > 0
+    assert 0 < obs["photon_fraction"] < 0.05
+    assert obs["inversion"] == pytest.approx(-0.5, abs=0.05)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_atoms=st.integers(1, 8), n_max=st.integers(1, 20),
+       omega=st.floats(-3.0, 3.0), omega0=st.floats(0.01, 3.0),
+       coupling=st.floats(-3.0, 3.0), u0=st.floats(-1.0, 1.0),
+       dispersive=st.booleans())
+def test_parity_commutes_with_hamiltonian(n_atoms, n_max, omega, omega0,
+                                          coupling, u0, dispersive):
+    p = DickeParams(omega=omega, omega0=omega0, coupling=coupling,
+                    n_atoms=n_atoms, dispersive_shift_enabled=dispersive,
+                    u0=u0)
+    h = dense(p, n_max)
+    par = parity_vector(n_atoms, n_max)
+    assert np.array_equal((par[:, None] * h) * par[None, :], h)
+    rng = np.random.default_rng(n_atoms * 100 + n_max)
+    psi = rng.standard_normal(h.shape[0])
+    twice = parity_transform(parity_transform(psi, n_atoms, n_max),
+                             n_atoms, n_max)
+    assert np.array_equal(twice, psi)

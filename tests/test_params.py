@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from dataclasses import fields, replace
+
+from hypothesis import given, settings, strategies as st
 
 from selforg.constants import HBAR
+from selforg.gpe import CondensateSim
+from selforg.grid import Grid2D
 from selforg.params import (ExperimentParams, ParameterError, derive,
                             cavity_profile, pump_profile, external_potential,
-                            parse_key_value_text, params_from_mapping,
-                            format_params, with_pump_power, with_pump_depth,
-                            csv_table)
+                            mode_profiles, parse_key_value_text,
+                            params_from_mapping, format_params,
+                            with_pump_power, with_pump_depth, csv_table)
 
 TWO_PI = 2 * math.pi
 
@@ -166,3 +170,99 @@ def test_csv_table_same_text_for_numpy_and_list_columns(rows):
     as_numpy = csv_table("a,b,c", zip(*cols))
     as_lists = csv_table("a,b,c", zip(*(c.tolist() for c in cols)))
     assert as_numpy == as_lists
+
+
+# ---------------------------------------------------------------------------
+# the one geometry: SI forms, the simulator's y = 0 grids, parameter files
+# ---------------------------------------------------------------------------
+
+waists = st.floats(min_value=5e-6, max_value=100e-6)
+lengths = st.floats(min_value=-3.0, max_value=3.0)     # in waists
+
+
+@settings(max_examples=200, deadline=None)
+@given(w_c=waists, w_x=waists, w_y=waists,
+       x=lengths, y=lengths, z=lengths)
+def test_profiles_match_closed_forms(w_c, w_x, w_y, x, y, z):
+    p = ExperimentParams(cavity_waist=w_c, pump_waist_x=w_x, pump_waist_y=w_y)
+    k = derive(p).wavenumber
+    x, y, z = x * w_x, y * w_y, z * w_c
+    assert cavity_profile(p, x, y, z) == pytest.approx(
+        math.cos(k * x) * math.exp(-(y * y + z * z) / w_c**2), abs=1e-13)
+    assert pump_profile(p, x, y, z) == pytest.approx(
+        math.cos(k * z) * math.exp(-x * x / w_x**2 - y * y / w_y**2),
+        abs=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w_c=waists, w_x=waists, w_y=waists, x=lengths, y=lengths, z=lengths,
+       depth=st.floats(min_value=-20.0, max_value=20.0))
+def test_external_potential_is_trap_plus_lattice(w_c, w_x, w_y, x, y, z,
+                                                 depth):
+    # depth > 0 is a V0 of the opposite sign to the default U0 < 0, which
+    # derive() rejects; the static potential must not
+    base = ExperimentParams(cavity_waist=w_c, pump_waist_x=w_x,
+                            pump_waist_y=w_y)
+    v0 = depth * derive(base).recoil_energy
+    p = with_pump_depth(base, v0)
+    x, y, z = x * w_x, y * w_y, z * w_c
+    harm = 0.5 * p.atom_mass * (p.trap_frequency_x**2 * x * x
+                                + p.trap_frequency_y**2 * y * y
+                                + p.trap_frequency_z**2 * z * z)
+    lattice = v0 * pump_profile(p, x, y, z) ** 2
+    got = external_potential(p, x, y, z)
+    assert abs(got - (harm + lattice)) <= 1e-12 * (harm + abs(lattice))
+
+
+@settings(max_examples=25, deadline=None)
+@given(w_c=waists, w_x=waists, w_y=waists)
+def test_simulator_grids_are_the_profiles_at_y0(w_c, w_x, w_y):
+    p = ExperimentParams(cavity_waist=w_c, pump_waist_x=w_x, pump_waist_y=w_y)
+    grid = Grid2D(8 * math.pi, 8 * math.pi, 32, 32)
+    x, z = grid.x(), grid.z()
+    sim = CondensateSim(p, grid, trap=False)
+    phi_c, phi_p = mode_profiles(p, x, 0.0, z)
+    assert np.array_equal(sim.prof_c2, phi_c**2)
+    assert np.array_equal(sim.prof_p2, phi_p**2)
+    assert np.array_equal(sim.prof_cc, phi_c * phi_p)
+    # the y = 0 plane adds nothing: the bits of the two-axis envelopes
+    k = derive(p).wavenumber
+    env_c = np.cos(x) * np.exp(-(z / (k * w_c)) ** 2)
+    env_p = np.exp(-(x / (k * w_x)) ** 2) * np.cos(z)
+    assert np.array_equal(phi_c, env_c) and np.array_equal(phi_p, env_p)
+    bare = CondensateSim(p, grid, envelopes=False, trap=False)
+    cos_x, cos_z = np.cos(x), np.cos(z)
+    assert np.array_equal(bare.prof_c2, (cos_x * np.ones_like(z)) ** 2)
+    assert np.array_equal(bare.prof_p2, (np.ones_like(x) * cos_z) ** 2)
+    assert np.array_equal(bare.prof_cc, cos_x * cos_z)
+
+
+def _valid_params():
+    """Any valid ExperimentParams: finite or infinite positive fields where
+    positivity is required, pump given by depth, power or neither."""
+    positive = st.floats(min_value=1e-300, allow_nan=False)
+    anything = st.floats(allow_nan=False)
+    kwargs = {f.name: positive for f in fields(ExperimentParams)
+              if f.name not in ("atom_number", "pump_depth", "pump_power",
+                                "pump_cavity_detuning",
+                                "single_atom_lightshift",
+                                "calibration_constant",
+                                "scattering_length")}
+    kwargs.update(atom_number=st.floats(min_value=1.0, allow_nan=False),
+                  pump_cavity_detuning=anything,
+                  single_atom_lightshift=anything,
+                  calibration_constant=anything, scattering_length=anything)
+    pump = st.one_of(st.just({}),
+                     st.builds(lambda v: {"pump_depth": v}, anything),
+                     st.builds(lambda v: {"pump_power": v}, anything))
+    return st.builds(lambda base, extra: replace(base, **extra),
+                     st.builds(ExperimentParams, **kwargs), pump)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_params())
+def test_parameter_file_round_trips_exactly(p):
+    text = format_params(p)
+    q = params_from_mapping(parse_key_value_text(text))
+    assert q == p
+    assert format_params(q) == text

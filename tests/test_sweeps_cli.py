@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import binomtest
 
+import selforg.boundary as boundary
 import selforg.sweeps as sweeps
 from selforg import cli
 from selforg.boundary import BOUNDARY_CSV_HEADER
@@ -255,6 +256,29 @@ def test_cli_ramp_deterministic(tmp_path):
     assert lam_det == pytest.approx(LAM_CR, rel=0.05)
     cfg_echo = open(os.path.join(outs[0], "config.resolved")).read()
     assert "eta_end" in cfg_echo
+
+
+def test_thomas_fermi_cloud_computed_once_per_simulator(monkeypatch):
+    real = boundary.thomas_fermi
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(boundary, "thomas_fermi", counting)
+    # the default trapped run: the grid check, the 2D interaction and
+    # every start state read one cloud
+    sim = sweeps.build_sim(default_config())
+    for seed in range(3):
+        sim.initial_state(seed=seed, noise=1e-4)
+    assert len(calls) == 1
+    # an untrapped, non-interacting simulator never needs it
+    calls.clear()
+    ideal = replace(default_config(), trap=False, params=replace(
+        ExperimentParams(), scattering_length=0.0))
+    sweeps.build_sim(ideal).initial_state(seed=1, noise=1e-4)
+    assert calls == []
 
 
 @pytest.mark.slow

@@ -6,19 +6,24 @@ H/hbar = omega0*Jz + omega*a^dag a + (lam/sqrt(N)) (a^dag + a)(J+ + J-)
 with collective spin operators built on the symmetric j = N/2 sector and
 c1^dag c1 = Jz + N/2.  Three engines live here:
 
-* exact diagonalization in the truncated |j=N/2, m> x |n_photon> space
-  (closed system, brute-force oracle for small N);
+* exact diagonalization in the truncated |j=N/2, m> x |n_photon> space,
+  block by block in the two parity sectors (closed system, oracle for
+  small N);
 * semiclassical driven-dissipative equations of motion, with cavity decay
-  -kappa*alpha, in per-particle variables;
+  -kappa*alpha, in per-particle variables, integrated by a Strang
+  splitting into two exact flows (cavity with the spin frozen, spin
+  rotation with the field frozen);
 * the analytic critical coupling of the dissipative model,
   lam_cr = sqrt((omega^2 + kappa^2) * omega0 / omega) / 2.
 
 Per-particle normalization: the semiclassical state stores
 alpha_scaled = <a>/sqrt(N), j_minus = <J->/N and j_z = <Jz>/N, so
 |alpha_scaled|^2 is the photon number per atom and the equations of motion
-contain no explicit N.  Closed dynamics conserves |j_minus|^2 + j_z^2.
+contain no explicit N.  The dynamics conserves |j_minus|^2 + j_z^2 (the
+spin sector is undamped).
 """
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -153,12 +158,14 @@ def parity_transform(state, n_atoms, n_max):
     return parity_vector(n_atoms, n_max) * state
 
 
-def ground_state(h):
-    """Lowest eigenpair of a sparse Hermitian matrix, deterministically."""
+def _lowest_pair(h):
+    """The two lowest eigenpairs of a sparse Hermitian matrix,
+    deterministically: dense LAPACK up to ``_DENSE_CAP``, Lanczos with a
+    fixed start vector above it."""
     dim = h.shape[0]
     if dim <= _DENSE_CAP:
-        w, v = np.linalg.eigh(h.toarray())
-        return w[:2], v[:, 0]
+        from scipy.linalg import eigh
+        return eigh(h.toarray(), subset_by_index=(0, 1))
     import scipy.sparse.linalg as spla
     v0 = np.ones(dim) / math.sqrt(dim)
     try:
@@ -166,33 +173,53 @@ def ground_state(h):
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError("sparse eigensolver did not converge") from exc
     order = np.argsort(w)
-    return w[order], v[:, order[0]]
+    return w[order], v[:, order]
+
+
+def ground_state(h, parity):
+    """Ground energy, gap and ground state of a parity-symmetric H.
+
+    ``parity`` is the diagonal of the parity operator (:func:`parity_vector`).
+    The even and odd blocks are diagonalized separately (Emary & Brandes,
+    PRE 67, 066203 (2003)), so the ground state is a parity eigenstate even
+    where the two blocks' lowest levels are degenerate to round-off.  It is
+    the lowest state of the lower block (the even one in practice); the gap
+    is the smaller of that block's second level and the other block's
+    lowest, minus the ground energy.  Returns (e0, gap, psi) with psi in
+    the full basis.
+    """
+    blocks = []
+    for sign in (1.0, -1.0):
+        idx = np.flatnonzero(parity == sign)
+        w, v = _lowest_pair(h[idx][:, idx])
+        blocks.append((w, v[:, 0], idx))
+    (w, v, idx), (w_other, _, _) = sorted(blocks, key=lambda b: b[0][0])
+    psi = np.zeros(h.shape[0])
+    psi[idx] = v
+    return w[0], min(w[1], w_other[0]) - w[0], psi
 
 
 def ground_state_observables(p: DickeParams, n_max):
     """Ground-state (photon_fraction, inversion, order, gap) at fixed cutoff.
 
     photon_fraction = <a^dag a>/N, inversion = <Jz>/N, order = <J+ + J->/N.
-    In the exact parity-symmetric ground state the order parameter vanishes
-    identically; superradiance shows up in the photon fraction (and in the
-    closing gap), not in the bare order parameter.
+    The ground state is a parity eigenstate (:func:`ground_state`), so the
+    order parameter is 0 by construction; superradiance shows up in the
+    photon fraction (and in the closing gap), not in the bare order
+    parameter.
     """
-    import scipy.sparse as sp
     h = build_hamiltonian(p, n_max)
-    w, psi = ground_state(h)
+    _, gap, psi = ground_state(h, parity_vector(p.n_atoms, n_max))
     nb = p.n_atoms + 1
-    prob = (np.abs(psi) ** 2).reshape(nb, n_max + 1)
+    prob = (psi**2).reshape(nb, n_max + 1)
     n_photon = float((prob.sum(axis=0) * np.arange(n_max + 1)).sum())
     m = -p.n_atoms / 2.0 + np.arange(nb)
     jz = float((prob.sum(axis=1) * m).sum())
-    jz_b, jplus = _spin_matrices(p.n_atoms)
-    jx2 = sp.kron(jplus + jplus.T, sp.identity(n_max + 1))
-    order = float(np.real(np.vdot(psi, jx2 @ psi)))
     return {
         "photon_fraction": n_photon / p.n_atoms,
         "inversion": jz / p.n_atoms,
-        "order": order / p.n_atoms,
-        "gap": float(w[1] - w[0]),
+        "order": 0.0,
+        "gap": float(gap),
     }
 
 
@@ -269,32 +296,19 @@ def semiclassical_rhs(s: SemiclassicalState, p: DickeParams):
     return da, djm, djz
 
 
-def _rk4_step(s, p, dt):
-    a1, m1, z1 = semiclassical_rhs(s, p)
-    s2 = SemiclassicalState(s.alpha + 0.5 * dt * a1, s.j_minus + 0.5 * dt * m1,
-                            s.j_z + 0.5 * dt * z1)
-    a2, m2, z2 = semiclassical_rhs(s2, p)
-    s3 = SemiclassicalState(s.alpha + 0.5 * dt * a2, s.j_minus + 0.5 * dt * m2,
-                            s.j_z + 0.5 * dt * z2)
-    a3, m3, z3 = semiclassical_rhs(s3, p)
-    s4 = SemiclassicalState(s.alpha + dt * a3, s.j_minus + dt * m3,
-                            s.j_z + dt * z3)
-    a4, m4, z4 = semiclassical_rhs(s4, p)
-    return SemiclassicalState(
-        s.alpha + dt * (a1 + 2 * a2 + 2 * a3 + a4) / 6.0,
-        s.j_minus + dt * (m1 + 2 * m2 + 2 * m3 + m4) / 6.0,
-        s.j_z + dt * (z1 + 2 * z2 + 2 * z3 + z4) / 6.0,
-    )
-
-
 def max_stable_dt(p: DickeParams):
-    """Fixed-step bound dt <= 0.05 / max(omega, omega0, kappa, lam)."""
+    """Time step that resolves the fastest rate of the model,
+    0.05 / max(omega, omega0, kappa, lam).
+
+    The split-step flows are exact and stay bounded at any dt, so this is a
+    resolution rule for the coupling schedule, not a stability bound.
+    """
     return 0.05 / max(abs(p.omega), p.omega0, p.kappa, abs(p.coupling))
 
 
 def integrate_semiclassical(s0: SemiclassicalState, p: DickeParams,
                             t_final, dt=None, record_every=1):
-    """Fixed-step RK4 trajectory of the semiclassical equations: the constant
+    """Fixed-step trajectory of the semiclassical equations: the constant
     schedule lam(t) = p.coupling of :func:`integrate_semiclassical_ramp`,
     with the same dt contract, divergence check and record layout.
     """
@@ -302,17 +316,42 @@ def integrate_semiclassical(s0: SemiclassicalState, p: DickeParams,
                                         dt=dt, record_every=record_every)
 
 
+def _cavity_flow(rate, h):
+    """(e, drive) of the exact cavity flow over h with the spin frozen:
+    alpha(h) = e*alpha + drive*lam*Re(j_minus) solves
+    d alpha/dt = -rate*alpha - 2i*lam*Re(j_minus)."""
+    if rate == 0:
+        return 1.0, -2j * h
+    e = cmath.exp(-rate * h)
+    return e, -2j * (1.0 - e) / rate
+
+
 def integrate_semiclassical_ramp(s0: SemiclassicalState, p: DickeParams,
                                  coupling_of_t, t_final, dt=None,
                                  record_every=1):
-    """Fixed-step RK4 trajectory with a time-dependent coupling lam(t).
+    """Fixed-step trajectory with a time-dependent coupling lam(t).
+
+    Each step is the Strang splitting A(dt/2) B(dt) A(dt/2) of two exact
+    flows (Hairer, Lubich & Wanner, Geometric Numerical Integration, ch. II),
+    with the coupling frozen at the step midpoint:
+
+    * A, spin frozen: alpha relaxes to alpha_s = -2i*lam*Re(j_minus)/rate
+      as exp(-rate*t), rate = kappa + i*(omega + (3/4)U0*N*(j_z + 1/2));
+    * B, alpha frozen: (Re j_minus, Im j_minus, j_z) rotates about
+      Omega = (-4*lam*Re(alpha), 0, -(omega0 + (3/4)U0*N*|alpha|^2)) by
+      |Omega|*dt (Rodrigues).
+
+    Both flows vanish at every fixed point of the full equations, so the
+    analytic fixed points are kept exactly, and B conserves
+    |j_minus|^2 + j_z^2 to round-off.  The scheme is second order.
 
     ``coupling_of_t`` maps time to the coupling; all other parameters are
     fixed.  Returns a dict of arrays ``t, alpha, photon_frac, jz, order,
     coupling`` sampled every ``record_every`` steps (plus the final state
     under ``state``).  dt defaults to :func:`max_stable_dt` at the larger
-    end-point coupling; a larger explicit dt is rejected.  Divergence (NaN
-    or runaway photon number) aborts with DivergenceError.
+    end-point coupling; a larger explicit dt is rejected.  A midpoint
+    coupling the step does not resolve (|lam|*dt > 0.05) or a runaway
+    photon number aborts with DivergenceError.
     """
     lam_max = max(abs(coupling_of_t(0.0)), abs(coupling_of_t(t_final)))
     bound = max_stable_dt(replace(p, coupling=lam_max))
@@ -321,42 +360,72 @@ def integrate_semiclassical_ramp(s0: SemiclassicalState, p: DickeParams,
     elif dt > bound * (1 + 1e-12):
         raise ValueError(f"dt={dt:g} does not resolve the fastest scale "
                          f"(need <= {bound:g})")
+    lam_limit = 0.05 / dt * (1 + 1e-12)
     n_steps = max(1, int(round(t_final / dt)))
     n_rec = n_steps // record_every + 1
-    t = np.empty(n_rec)
     alpha = np.empty(n_rec, dtype=complex)
+    jx = np.empty(n_rec)
     jz = np.empty(n_rec)
-    order = np.empty(n_rec)
     lam_rec = np.empty(n_rec)
-    s = s0
-    p_now = p
+    a = complex(s0.alpha)
+    x, y, z = float(s0.j_minus.real), float(s0.j_minus.imag), float(s0.j_z)
+    half = 0.5 * dt
+    kappa, omega, omega0 = p.kappa, p.omega, p.omega0
+    shift = 0.75 * p.u0 * p.n_atoms if p.dispersive_shift_enabled else 0.0
+    # without the dispersive term the cavity rate, and so the cavity flow,
+    # is the same for every step
+    e, drive = _cavity_flow(complex(kappa, omega), half)
+    sin, cos, hypot = math.sin, math.cos, math.hypot
+    idx = 0
     for i in range(n_steps + 1):
-        now = i * dt
         if i % record_every == 0:
-            idx = i // record_every
-            t[idx] = now
-            alpha[idx] = s.alpha
-            jz[idx] = s.j_z
-            order[idx] = 2.0 * s.j_minus.real
-            lam_rec[idx] = coupling_of_t(now)
+            alpha[idx] = a
+            jx[idx] = x
+            jz[idx] = z
+            lam_rec[idx] = coupling_of_t(i * dt)
+            idx += 1
         if i == n_steps:
             break
-        # piecewise-frozen coupling across the step keeps RK4 simple; the
-        # dt bound makes the per-step coupling change negligible.  A constant
-        # schedule keeps its parameter set instead of copying it every step.
-        lam = coupling_of_t(now + 0.5 * dt)
-        if lam != p_now.coupling:
-            p_now = replace(p, coupling=lam)
-        s = _rk4_step(s, p_now, dt)
+        lam = coupling_of_t((i + 0.5) * dt)
+        if not -lam_limit <= lam <= lam_limit:
+            raise DivergenceError(
+                f"semiclassical trajectory diverged from its schedule at "
+                f"t={i * dt:g}: coupling lam={lam:g} is not resolved by "
+                f"dt={dt:g} (need |lam| <= 0.05/dt)")
+        # A(dt/2)
+        if shift:
+            e, drive = _cavity_flow(
+                complex(kappa, omega + shift * (z + 0.5)), half)
+        a = e * a + drive * (lam * x)
+        # B(dt): rotation by theta = |Omega|*dt about n = Omega/|Omega|
+        ar = a.real
+        b = 4.0 * lam * ar
+        w0 = omega0 + shift * (ar * ar + a.imag * a.imag)
+        norm = hypot(b, w0)
+        if norm > 0.0:
+            nx, nz = -b / norm, -w0 / norm
+            sh = sin(half * norm)
+            sn, k = 2.0 * sh * cos(half * norm), 2.0 * sh * sh  # sin, 1-cos
+            dk = (nx * x + nz * z) * k
+            x, y, z = (x - k * x - sn * nz * y + dk * nx,
+                       y - k * y + sn * (nz * x - nx * z),
+                       z - k * z + sn * nx * y + dk * nz)
+        # A(dt/2)
+        if shift:
+            e, drive = _cavity_flow(
+                complex(kappa, omega + shift * (z + 0.5)), half)
+        a = e * a + drive * (lam * x)
         if i % 100 == 0:
-            a2 = abs(s.alpha) ** 2
-            if not np.isfinite(a2) or a2 > 1e12:
+            a2 = a.real * a.real + a.imag * a.imag
+            if not a2 <= 1e12:
                 raise DivergenceError(
-                    f"semiclassical trajectory diverged at t={now:g} "
+                    f"semiclassical trajectory diverged at t={i * dt:g} "
                     f"(|alpha|^2={a2:g}); reduce dt or check parameters")
     return {
-        "t": t, "alpha": alpha, "photon_frac": np.abs(alpha) ** 2,
-        "jz": jz, "order": order, "coupling": lam_rec, "state": s,
+        "t": np.arange(0, n_steps + 1, record_every) * dt,
+        "alpha": alpha, "photon_frac": np.abs(alpha) ** 2, "jz": jz,
+        "order": 2.0 * jx, "coupling": lam_rec,
+        "state": SemiclassicalState(a, complex(x, y), z),
     }
 
 

@@ -285,7 +285,8 @@ def csv_table(header, rows):
     lines = [header]
     for row in rows:
         lines.append(",".join(map(format_value, row)))
-    return "\n".join(lines) + "\n"
+    lines.append("")        # the final newline, without a second copy
+    return "\n".join(lines)
 
 
 def format_params(params: ExperimentParams):

@@ -180,3 +180,60 @@ def test_parity_commutes_with_hamiltonian(n_atoms, n_max, omega, omega0,
     twice = parity_transform(parity_transform(psi, n_atoms, n_max),
                              n_atoms, n_max)
     assert np.array_equal(twice, psi)
+
+
+def _full_space_observables(p, n_max):
+    """Photon fraction, inversion and gap from a dense eigh of the whole
+    space, parity ignored."""
+    w, v = np.linalg.eigh(dense(p, n_max))
+    prob = (v[:, 0] ** 2).reshape(p.n_atoms + 1, n_max + 1)
+    m = -p.n_atoms / 2.0 + np.arange(p.n_atoms + 1)
+    return {"photon_fraction": prob.sum(axis=0) @ np.arange(n_max + 1)
+            / p.n_atoms,
+            "inversion": prob.sum(axis=1) @ m / p.n_atoms,
+            "gap": w[1] - w[0]}
+
+
+@pytest.mark.parametrize("n_max", [60, 70])
+def test_parity_blocks_match_full_space_oracle(n_max):
+    # N = 8, omega = 1, omega0 = 2 from the normal phase to 2 lam_cr, where
+    # the lowest doublet is degenerate to 1e-12; lam = 1.124 has a gap of
+    # about 1.2e-6
+    lam_cr = critical_coupling(1.0, 2.0)
+    for lam in list(np.linspace(0.0, 2 * lam_cr, 11)) + [1.124]:
+        p = DickeParams(omega=1.0, omega0=2.0, coupling=lam, n_atoms=8)
+        obs = ground_state_observables(p, n_max)
+        ref = _full_space_observables(p, n_max)
+        assert obs["order"] == 0.0
+        for key in ("photon_fraction", "inversion", "gap"):
+            assert obs[key] == pytest.approx(ref[key], abs=1e-12), (lam, key)
+
+
+@pytest.mark.parametrize("omega,omega0", [(1.0, 2.0), (2.0, 1.3)])
+def test_gap_at_zero_coupling(omega, omega0):
+    # the lowest odd state is one photon or one excitation above the even
+    # ground state; the second even state lies higher
+    p = DickeParams(omega=omega, omega0=omega0, coupling=0.0, n_atoms=8)
+    gap = ground_state_observables(p, 20)["gap"]
+    assert gap == pytest.approx(min(omega, omega0), abs=1e-12)
+
+
+def test_sparse_blocks_above_dense_cap(monkeypatch):
+    # dimension 141 * 61 = 8601: both parity blocks exceed the unpatched
+    # dense cap and go through Lanczos
+    import scipy.sparse.linalg as spla
+    calls = []
+    eigsh = spla.eigsh
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counting_eigsh)
+    p = DickeParams(omega=1.0, omega0=1.0, coupling=0.3, n_atoms=140)
+    obs = ground_state_observables(p, 60)
+    assert len(calls) == 2 and min(calls) > dicke._DENSE_CAP
+    assert obs["gap"] > 0 and obs["order"] == 0.0
+    assert 0 < obs["photon_fraction"] < 0.05
+    assert obs["inversion"] == pytest.approx(-0.5, abs=0.05)
+    assert ground_state_observables(p, 60) == obs     # deterministic

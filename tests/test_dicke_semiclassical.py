@@ -1,8 +1,11 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from selforg.dicke import (DickeParams, DivergenceError, SemiclassicalState,
                            normal_state, semiclassical_rhs,
@@ -11,6 +14,34 @@ from selforg.dicke import (DickeParams, DivergenceError, SemiclassicalState,
                            steadystate_photon_fraction, critical_coupling,
                            superradiant_fixed_point, normal_phase_growth_rate,
                            instability_threshold, max_stable_dt)
+
+
+def _oracle(s0, p, t_final):
+    """Tight-tolerance DOP853 solution of semiclassical_rhs at t_final."""
+    def rhs(_, y):
+        s = SemiclassicalState(complex(y[0], y[1]), complex(y[2], y[3]), y[4])
+        da, djm, djz = semiclassical_rhs(s, p)
+        return [da.real, da.imag, djm.real, djm.imag, djz]
+
+    y0 = [s0.alpha.real, s0.alpha.imag, s0.j_minus.real, s0.j_minus.imag,
+          s0.j_z]
+    y = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853", rtol=1e-13,
+                  atol=1e-15).y[:, -1]
+    return SemiclassicalState(complex(y[0], y[1]), complex(y[2], y[3]), y[4])
+
+
+def _distance(s, r):
+    return max(abs(s.alpha - r.alpha), abs(s.j_minus - r.j_minus),
+               abs(s.j_z - r.j_z))
+
+
+# a state off every fixed point, on the spin sphere
+OFF_EQUILIBRIUM = SemiclassicalState(0.1 + 0.05j, 0.06 - 0.08j,
+                                     -math.sqrt(0.25 - 0.01))
+# the damped test system (lam_cr = 0.707), with the dispersive shifts
+# (3/4) U0 N = -0.75 when they are on; its dt bound is 0.05
+DAMPED = DickeParams(omega=1.0, omega0=1.0, coupling=0.8, kappa=1.0,
+                     n_atoms=20, u0=-0.05)
 
 
 def test_decoupled_field_decays_as_analytic():
@@ -169,3 +200,80 @@ def test_trajectory_record_fields():
     assert rec["t"][0] == 0.0
     assert np.all(np.diff(rec["t"]) > 0)
     assert np.allclose(rec["photon_frac"], np.abs(rec["alpha"]) ** 2)
+
+
+@pytest.mark.parametrize("dispersive", [False, True])
+def test_splitting_is_second_order(dispersive):
+    # the error at t = 20 quarters per dt halving, from the dt bound down
+    p = replace(DAMPED, dispersive_shift_enabled=dispersive)
+    ref = _oracle(OFF_EQUILIBRIUM, p, 20.0)
+    errors = [_distance(integrate_semiclassical(
+        OFF_EQUILIBRIUM, p, t_final=20.0, dt=max_stable_dt(p) / 2**k)
+        ["state"], ref) for k in range(4)]
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert all(3.6 < r < 4.4 for r in ratios), (errors, ratios)
+
+
+def test_spin_length_conserved_on_damped_run():
+    # criterion 4's damped run over 1e5 steps: the spin rotation keeps
+    # |j_minus|^2 + j_z^2 to round-off (fixed-step RK4 drifted by ~2e-4)
+    p = DickeParams(omega=1.0, omega0=1.0,
+                    coupling=2 * critical_coupling(1.0, 1.0, 0.2), kappa=0.2)
+    s0 = normal_state(noise=1e-4, seed=3)
+    rec = integrate_semiclassical(s0, p, t_final=1e5 * max_stable_dt(p),
+                                  record_every=1000)
+    assert len(rec["t"]) == 101
+    assert abs(rec["state"].spin_length_sq() - s0.spin_length_sq()) < 1e-12
+    assert rec["photon_frac"][-1] == pytest.approx(
+        steadystate_photon_fraction(p), rel=1e-3)
+
+
+def _dispersive_fixed_point(p, sign):
+    """Superradiant fixed point with the dispersive shifts, by root finding
+    on j_z along the spin sphere (Im j_minus = 0, alpha slaved)."""
+    lam, shift = p.coupling, 0.75 * p.u0 * p.n_atoms
+
+    def slaved_alpha(jz):
+        omega_s = p.omega + shift * (jz + 0.5)
+        jm = sign * math.sqrt(0.25 - jz * jz)
+        return -2j * lam * jm / complex(p.kappa, omega_s), jm
+
+    def spin_balance(jz):
+        # Omega x j = 0: omega0' Re(j_minus) = 4 lam Re(alpha) j_z
+        alpha, jm = slaved_alpha(jz)
+        return (p.omega0 + shift * abs(alpha) ** 2) * jm \
+            - 4 * lam * alpha.real * jz
+
+    jz = brentq(spin_balance, -0.5 + 1e-12, -1e-12, xtol=1e-17, rtol=1e-15)
+    alpha, jm = slaved_alpha(jz)
+    return SemiclassicalState(alpha, complex(jm), jz)
+
+
+@pytest.mark.parametrize("dispersive", [False, True])
+def test_fixed_points_kept_by_one_step(dispersive):
+    p = DickeParams(omega=1.2, omega0=0.9, coupling=1.1, kappa=0.6,
+                    n_atoms=10, dispersive_shift_enabled=dispersive,
+                    u0=-0.03)
+    states = [normal_state()]
+    for sign in (+1, -1):
+        s = (_dispersive_fixed_point(p, sign) if dispersive
+             else superradiant_fixed_point(p, sign))
+        assert max(map(abs, semiclassical_rhs(s, p))) < 1e-14
+        states.append(s)
+    for s in states:
+        step = integrate_semiclassical(s, p, t_final=max_stable_dt(p))
+        assert len(step["t"]) == 2
+        assert _distance(step["state"], s) < 1e-14
+
+
+def test_dispersive_flows_match_oracle_at_dt_bound():
+    p = replace(DAMPED, dispersive_shift_enabled=True)
+    rec = integrate_semiclassical(OFF_EQUILIBRIUM, p, t_final=20.0)
+    assert rec["t"][1] == max_stable_dt(p) and rec["t"][-1] == 20.0
+    ref = _oracle(OFF_EQUILIBRIUM, p, 20.0)
+    assert _distance(rec["state"], ref) < 1e-6
+    # the shifts move the trajectory far more than that
+    plain = integrate_semiclassical(
+        OFF_EQUILIBRIUM, replace(p, dispersive_shift_enabled=False),
+        t_final=20.0)
+    assert _distance(plain["state"], ref) > 1e-3

@@ -16,11 +16,16 @@ with the cavity amplitude slaved to the density at every step,
 where phi_c and phi_p are params.mode_profiles in the y = 0 plane (pure
 cosines without envelopes) and the trap is params.harmonic_trap there.
 
-Propagation is Strang split-step: half kinetic, full potential, half
-kinetic.  One loop runs both real and imaginary time (ground states, with
+Propagation is Strang split-step V(dt/2) K(dt) V(dt/2): an exact
+potential half-step, the exact spectral kinetic factor (one fft2, one
+ifft2) and a second potential half-step.  A potential half-step keeps the
+density pointwise, so in real time it is exact with alpha and g2d|psi|^2
+taken from the field it acts on, and the step is second order in dt for
+this density-dependent, nonlocal potential (Lubich, Math. Comp. 77, 2141
+(2008)).  One loop runs both real and imaginary time (ground states, with
 the field renormalized to the atom number after every step).  It builds
-the kinetic factor once per propagation and takes alpha once per step from
-the pre-step density, which makes the cavity coupling first order in dt.
+the kinetic factor once per propagation and computes one alpha and one
+exponential per step.
 """
 
 import functools
@@ -212,26 +217,59 @@ class CondensateSim:
 
     # -- propagation ------------------------------------------------------
 
+    def _half_potential(self, psi, eta, alpha, half_dt, out):
+        """The potential half-step factor into ``out``: exp(-V dt/2) for a
+        real ``out`` (imaginary time), exp(-i V dt/2) for a complex one,
+        with V = potential(eta, alpha) plus the collisional term of psi's
+        density."""
+        v = self.potential(eta, alpha)
+        if self.g2d:
+            v += self.g2d * np.abs(psi) ** 2
+        v *= -half_dt
+        if np.isrealobj(out):
+            return np.exp(v, out=out)
+        np.cos(v, out=out.real)
+        np.sin(v, out=out.imag)
+        return out
+
     def _strang_steps(self, psi, ramp, dt, n_steps, imaginary):
-        """Yield (psi, power, eta, alpha, op) at t = i*dt for i = 0..n_steps;
-        step i then uses that alpha, taken from the pre-step density."""
+        """Yield (psi, power, eta, alpha, op) at t = i*dt for i = 0..n_steps,
+        where alpha and op belong to that psi.
+
+        A step is V(dt/2) K(dt) V(dt/2): one fft2 and one ifft2 around the
+        exact kinetic factor, between two multiplications by the same kind
+        of half-potential factor h = exp(-unit*V*dt/2).  In real time the
+        potential half-step keeps |psi|^2 pointwise, so it is exact with V
+        taken from the density it acts on: the second half of step i takes
+        alpha, g2d|psi|^2 and eta(t_{i+1}) from the post-kinetic field, and
+        that factor is also the first half of step i+1.  Each step computes
+        one alpha and one exponential, and the splitting is second order in
+        dt (Lubich, Math. Comp. 77, 2141 (2008)).  In imaginary time the
+        step applies the factor of its starting field twice and then
+        renormalizes to the atom number, a symmetric step whose fixed
+        point is O(dt^2) from the ground state.
+        """
         unit = 1.0 if imaginary else 1j     # exp(-unit * dt * H)
-        exp_k = np.exp(-unit * self.ksq * (dt / 2))
-        phase = -unit * dt
+        exp_k = np.exp(-unit * dt * self.ksq)
+        power, eta = ramp(0.0)
+        alpha, op = self.alpha_of(psi, eta)
+        h = self._half_potential(psi, eta, alpha, dt / 2,
+                                 np.empty(psi.shape, type(unit)))
         for i in range(n_steps + 1):
-            power, eta = ramp(i * dt)
-            alpha, op = self.alpha_of(psi, eta)
             yield psi, power, eta, alpha, op
             if i == n_steps:
                 return
-            psi = sfft.ifft2(exp_k * sfft.fft2(psi))
-            v = self.potential(eta, alpha)
-            if self.g2d:
-                v = v + self.g2d * np.abs(psi) ** 2
-            psi = np.exp(phase * v) * psi
-            psi = sfft.ifft2(exp_k * sfft.fft2(psi))
+            phi = sfft.fft2(h * psi, overwrite_x=True)
+            phi *= exp_k
+            phi = sfft.ifft2(phi, overwrite_x=True)
             if imaginary:
-                psi = self.renormalize(psi)
+                phi = self.renormalize(h * phi)
+            power, eta = ramp((i + 1) * dt)
+            alpha, op = self.alpha_of(phi, eta)
+            self._half_potential(phi, eta, alpha, dt / 2, out=h)
+            if not imaginary:
+                phi *= h
+            psi = phi
 
     def imaginary_time_ground_state(self, eta, *, seed=None, noise=1e-4,
                                     dtau=2e-3, tol_energy=1e-10,
@@ -285,9 +323,10 @@ class CondensateSim:
 
         ramp is a callable t -> (power_watt, eta_scaled); see PowerRamp.
         Records t, P, eta, alpha, photon number, Theta, B and the norm every
-        ``record_every`` steps.  The kinetic factor is built once per
-        propagation; alpha comes from the pre-step density, once per step,
-        which makes the cavity coupling first order in dt.  Norm drift
+        ``record_every`` steps; a record's alpha is that of the recorded
+        field.  Each step is V(dt/2) K(dt) V(dt/2) with exact potential
+        half-steps: second order in dt, two FFTs, one alpha and one
+        exponential per step (see _strang_steps).  Norm drift
         beyond 1e-6 relative per 1000 steps aborts (the splitting is
         unitary, so drift means blow-up).  ``snapshot_times`` requests
         (time, psi-copy) pairs under "snapshots".

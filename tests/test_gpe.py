@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from selforg import gpe
 from selforg.dicke import critical_coupling, DivergenceError
 from selforg.grid import Grid2D, GridError
 from selforg.gpe import (CondensateSim, PowerRamp, EtaRamp, cavity_amplitude,
@@ -269,6 +270,77 @@ def test_recording_is_observation_only():
     assert np.array_equal(psi_b, every["psi"])
 
 
+def final_record(sim, psi0, ramp, t_final, dt, **kwargs):
+    """The trajectory's last record, at t_final (the only other is t = 0)."""
+    return sim.real_time_evolve(psi0, ramp, t_final, dt,
+                                record_every=int(round(t_final / dt)),
+                                **kwargs)
+
+
+def test_real_time_second_order_on_ideal_bed():
+    # n_ph at t = 4 inside the organized phase: successive differences over
+    # halved steps shrink by 4 (a first-order step gives 2)
+    sim = ideal_sim()
+    psi0 = sim.initial_state(seed=9, noise=1e-2)
+    eta = eta_of(1.5)
+    ramp = EtaRamp([(0.0, eta), (4.0, eta)])
+    nph = [final_record(sim, psi0, ramp, 4.0, dt)["nphoton"][-1]
+           for dt in (8e-3, 4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)]
+    diffs = np.diff(nph)
+    assert nph[-1] > 1.0
+    assert np.allclose(diffs[:-1] / diffs[1:], 4.0, atol=0.2)
+
+
+def test_real_time_second_order_trapped_with_collisions():
+    # trapped 128^2 cloud with envelopes, g2d != 0 and a power ramp
+    # 0 -> 2 mW over 2 recoil times: the relative L2 error of the final
+    # field against dt = 3.125e-4 quarters as dt halves from 5e-3.  The
+    # start state's tails reach this box's edge, which does not bear on
+    # the time step, so the edge guard is off.
+    params = ExperimentParams(atom_number=8e3)
+    sim = CondensateSim(params, Grid2D(100.0, 100.0, 128, 128))
+    assert sim.g2d > 0
+    psi0 = sim.initial_state(seed=1, noise=1e-4)
+    ramp = PowerRamp(params, [(0.0, 0.0), (2.0, 2e-3)])
+    psi = {dt: final_record(sim, psi0, ramp, 2.0, dt,
+                            edge_check_every=0)["psi"]
+           for dt in (5e-3, 2.5e-3, 1.25e-3, 3.125e-4)}
+    ref = psi.pop(3.125e-4)
+    err = [np.linalg.norm(p - ref) / np.linalg.norm(ref)
+           for p in psi.values()]
+    assert err[0] < 2e-4
+    for coarse, fine in zip(err, err[1:]):
+        assert 3.6 < coarse / fine < 4.6
+
+
+class CountingFFT:
+    """Forwards to scipy.fft and counts each function's calls."""
+
+    def __init__(self):
+        import scipy.fft
+        self.module = scipy.fft
+        self.calls = {}
+
+    def __getattr__(self, name):
+        fn = getattr(self.module, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("make_sim", [ideal_sim, trapped_sim])
+def test_two_ffts_per_real_time_step(monkeypatch, make_sim):
+    sim = make_sim()
+    fft = CountingFFT()
+    monkeypatch.setattr(gpe, "sfft", fft)
+    ramp = EtaRamp([(0.0, 0.0), (0.1, eta_of(1.5))])
+    sim.real_time_evolve(sim.initial_state(seed=1, noise=1e-2), ramp,
+                         25 * 4e-3, 4e-3)
+    assert fft.calls == {"fft2": 25, "ifft2": 25}
+
+
 # ---------------------------------------------------------------------------
 # imaginary time
 # ---------------------------------------------------------------------------
@@ -342,6 +414,24 @@ def test_organized_amplitude_matches_static_oracle():
     assert (gs["alpha"], gs["theta"], gs["bunching"]) == (
         alpha, op.theta, op.bunching)
     assert gs["energy"] == sim.energy(gs["psi"], eta)
+
+
+def test_imaginary_time_bias_quarters_with_dtau():
+    # the relaxed |Theta|/N and energy move by a quarter as much at each
+    # halving of dtau, and the dtau -> 0 limit (Richardson) meets the static
+    # oracle of test_organized_amplitude_matches_static_oracle
+    sim = ideal_sim()
+    eta = eta_of(1.3)
+    states = [sim.imaginary_time_ground_state(eta, seed=5, noise=1e-2,
+                                              dtau=dtau)
+              for dtau in (1.6e-2, 8e-3, 4e-3, 2e-3)]
+    theta = [abs(gs["theta"]) / N_AT for gs in states]
+    energy = [gs["energy"] for gs in states]
+    for values in (theta, energy):
+        diffs = np.diff(values)
+        assert np.allclose(diffs[:-1] / diffs[1:], 4.0, atol=0.2)
+    limit = theta[-1] - (theta[-2] - theta[-1]) / 3
+    assert limit == pytest.approx(0.62568, rel=1.5e-2)
 
 
 # ---------------------------------------------------------------------------

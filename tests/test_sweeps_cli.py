@@ -13,6 +13,7 @@ from scipy.stats import binomtest
 import selforg.boundary as boundary
 import selforg.sweeps as sweeps
 from selforg import cli
+from selforg.constants import HBAR
 from selforg.boundary import BOUNDARY_CSV_HEADER
 from selforg.dicke import (DickeParams, critical_coupling,
                            steadystate_photon_fraction)
@@ -52,6 +53,16 @@ IDEAL_KEYS = {
     "ramp_time": repr(300.0 / W_R),
     "dt": repr(4e-3 / W_R),
     "eta_end": repr(2.0 * 2 * LAM_CR / math.sqrt(N_AT)),
+}
+
+
+# the same bed on a linear power ramp to 1 mW that ends at the same eta
+# (eta^2 = U0 c_cal P / hbar / omega_r^2): sample powers need a power ramp
+POWER_RAMP = {
+    "eta_end": "nan",
+    "power_end": "1e-3",
+    "calibration_constant": repr(float(IDEAL_KEYS["eta_end"]) ** 2 * HBAR
+                                 * W_R**2 / (U0_SCALED * W_R * 1e-3)),
 }
 
 
@@ -281,6 +292,26 @@ def test_thomas_fermi_cloud_computed_once_per_simulator(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("dt, every", [(math.nan, 800), (1e-3, 2000)])
+def test_ramp_edge_guard_checks_every_two_recoil_times(tmp_path,
+                                                        monkeypatch, dt,
+                                                        every):
+    # the automatic step (2.5e-3) and an explicit one both put the edge
+    # checks about 2 recoil times apart
+    seen = []
+    real = sweeps.CondensateSim.real_time_evolve
+
+    def spy(self, *args, **kwargs):
+        seen.append(kwargs["edge_check_every"])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(sweeps.CondensateSim, "real_time_evolve", spy)
+    config = load_config(write_ideal_config(tmp_path / "ramp.cfg"), seed=1)
+    config = replace(config, ramp_time=0.02 / W_R, dt=dt / W_R)
+    run_ramp(config)
+    assert seen == [every]
+
+
 @pytest.mark.slow
 def test_cli_ramp_snapshots(tmp_path):
     # snapshots at given powers along a power ramp, plus peak tables
@@ -323,6 +354,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     ok.write_text("trap = false\n")
     assert cli.main(["diagram", "--config", str(ok),
                      "--out", str(tmp_path / "x4")]) == cli.EXIT_CONFIG
+    # sample powers on an eta ramp, whose power is NaN, are config errors
+    eta_ramp = write_ideal_config(tmp_path / "eta.cfg",
+                                  extra={"eta_end": "0.5"})
+    assert cli.main(["ramp", "--config", eta_ramp, "--override",
+                     "snapshot_powers=1e-4,2e-4",
+                     "--out", str(tmp_path / "x5")]) == cli.EXIT_CONFIG
+    assert cli.main(["diagram", "--config", eta_ramp, "--override",
+                     "delta_c_list=-1e8", "--override", "power_list=1e-4",
+                     "--out", str(tmp_path / "x6")]) == cli.EXIT_CONFIG
     # a failing engine exits 3 and finishes the manifest on every subcommand
     failing = {
         "boundary": ["scattering_length=0", "delta_c_list=-1e8"],
@@ -351,6 +391,7 @@ def test_diagram_sweep_and_empty_power_list(tmp_path):
     deltas = [(-OMEGA_EFF + U0_SCALED * N_AT / 2) * W_R,
               (-1.3 * OMEGA_EFF + U0_SCALED * N_AT / 2) * W_R]
     cfg = write_ideal_config(tmp_path / "diag.cfg", extra={
+        **POWER_RAMP,
         "delta_c_list": ",".join(repr(v) for v in deltas),
         "power_list": "1e-4,5e-4,9e-4"})
     out = str(tmp_path / "diag")
@@ -378,6 +419,7 @@ def test_sweep_files_do_not_depend_on_workers(tmp_path):
     deltas = [(-OMEGA_EFF + U0_SCALED * N_AT / 2) * W_R,
               (-1.3 * OMEGA_EFF + U0_SCALED * N_AT / 2) * W_R]
     cfg = write_ideal_config(tmp_path / "det.cfg", extra={
+        **POWER_RAMP,
         "delta_c_list": ",".join(repr(v) for v in deltas),
         "power_list": "1e-4,9e-4", "ramp_time": repr(30.0 / W_R),
         "n_seeds": "2", "noise_amplitude": "1e-2",
@@ -411,6 +453,7 @@ def test_diagram_partial_failure_persists_points(tmp_path, monkeypatch):
     deltas = [(-OMEGA_EFF + U0_SCALED * N_AT / 2) * W_R,
               (-1.2 * OMEGA_EFF + U0_SCALED * N_AT / 2) * W_R]
     cfg = write_ideal_config(tmp_path / "flaky.cfg", extra={
+        **POWER_RAMP,
         "delta_c_list": ",".join(repr(v) for v in deltas),
         "power_list": "5e-4", "ramp_time": repr(20.0 / W_R)})
     config = load_config(cfg)

@@ -9,7 +9,8 @@ completion (some sweep points failed; completed points are persisted).
 Every failure exits 2, 3 or 4 without a traceback.  A config that does not
 load or an output directory that cannot be made exits 2 at once; every
 later failure also writes manifest.json with its status (config-error,
-engine-failure or partial).
+engine-failure or partial), and a config error or engine failure also with
+its message under "error".
 All behavior is controlled by flags and the config file; no environment
 variables are read.
 """
@@ -45,7 +46,8 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=0, metavar="U64",
                         help="base seed for all stochastic choices")
     common.add_argument("--workers", type=int, default=os.cpu_count(),
-                        metavar="N", help="worker processes for sweeps")
+                        metavar="N", help="worker processes for sweeps; an "
+                        "ensemble runs one batch of members per worker")
     common.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key "
                         "(repeatable)")
@@ -121,11 +123,11 @@ def main(argv=None):
             print(f"integrated {len(rec['t'])} samples")
     except ConfigError as exc:
         print(f"selforg: config error: {exc}", file=sys.stderr)
-        rundir.finish("config-error")
+        rundir.finish("config-error", error=str(exc))
         return EXIT_CONFIG
     except EngineError as exc:
         print(f"selforg: engine failure: {exc}", file=sys.stderr)
-        rundir.finish("engine-failure")
+        rundir.finish("engine-failure", error=str(exc))
         return EXIT_ENGINE
     rundir.finish("ok")
     return EXIT_OK

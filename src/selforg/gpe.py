@@ -26,6 +26,14 @@ this density-dependent, nonlocal potential (Lubich, Math. Comp. 77, 2141
 the field renormalized to the atom number after every step).  It builds
 the kinetic factor once per propagation and computes one alpha and one
 exponential per step.
+
+Every field helper and the loop also take a stack of fields of shape
+(B, nx, nz): they reduce over the last two axes and carry alpha, Theta and
+B per member, and a 2D field is the B-less case of the same code.  Each
+operation acts on one member's slice alone (FFTs and sums over the last
+two axes, elementwise products), so a member's result is bit for bit the
+same whatever else is in its stack.  ground_states relaxes such a stack,
+coarse to fine, dropping members as they converge.
 """
 
 import functools
@@ -54,6 +62,38 @@ class _LazyFFT:
 
 
 sfft = _LazyFFT()
+
+_CHECK_EVERY = 10       # imaginary-time steps between convergence checks
+_WINDOW = 30            # checks in the sliding convergence window
+_COARSE_DTAU = 1.6e-2   # cap on the coarse relaxation stage's step
+
+
+def _per_member(fn, *values):
+    """fn on each member's Python scalars: a scalar for a 2D field's values,
+    an array over the members for a stack's.  Per-member scalar arithmetic
+    keeps a member's alpha and potential coefficients bit for bit those of
+    the same field on its own (numpy's complex division differs from
+    CPython's in the last bit)."""
+    if np.ndim(values[0]) == 0:
+        return fn(*values)
+    return np.array([fn(*v) for v in zip(*(np.asarray(x).tolist()
+                                            for x in values))])
+
+
+def _field_axes(value):
+    """A per-member scalar or array, shaped to broadcast against fields."""
+    return np.asarray(value)[..., None, None]
+
+
+def _settled(e_hist, th_hist, tol_e, tol_th):
+    """The sliding-window convergence test over one member's checks."""
+    if len(e_hist) < _WINDOW:
+        return False
+    e_win = e_hist[-_WINDOW:]
+    th_win = th_hist[-_WINDOW:]
+    growing = abs(th_win[-1]) > 1.5 * abs(th_win[0]) + tol_th
+    return (max(e_win) - min(e_win) < tol_e
+            and max(th_win) - min(th_win) < tol_th and not growing)
 
 
 @dataclass(frozen=True)
@@ -137,21 +177,26 @@ class CondensateSim:
 
     # -- diagnostics ------------------------------------------------------
 
+    def _integral(self, f):
+        """sum(f) dA over the last two axes: a float for a 2D field, an
+        array over the members for a stack."""
+        s = f.sum(axis=(-2, -1)) * self.grid.cell_area
+        return float(s) if np.ndim(s) == 0 else s
+
     def norm(self, psi):
-        return float((np.abs(psi) ** 2).sum() * self.grid.cell_area)
+        return self._integral(np.abs(psi) ** 2)
 
     def order_parameters(self, psi) -> OrderParameters:
         dens = np.abs(psi) ** 2
-        da = self.grid.cell_area
-        return OrderParameters(
-            theta=float((self.prof_cc * dens).sum() * da),
-            bunching=float((self.prof_c2 * dens).sum() * da),
-        )
+        return OrderParameters(theta=self._integral(self.prof_cc * dens),
+                               bunching=self._integral(self.prof_c2 * dens))
 
     def alpha_of(self, psi, eta):
         op = self.order_parameters(psi)
-        return cavity_amplitude(op.theta, op.bunching, eta,
-                                self.delta_c, self.u0, self.kappa), op
+        return _per_member(
+            lambda theta, bunching: cavity_amplitude(
+                theta, bunching, eta, self.delta_c, self.u0, self.kappa),
+            op.theta, op.bunching), op
 
     def pump_depth_of(self, eta):
         """Scaled lattice depth v0 = eta^2/u0 (<= 0 in the red regime)."""
@@ -160,10 +205,12 @@ class CondensateSim:
         return eta**2 / self.u0
 
     def potential(self, eta, alpha):
-        """Dynamic potential grid in E_r (without the collisional term)."""
+        """Dynamic potential grid in E_r (without the collisional term); a
+        stack of grids for an array of per-member alphas."""
+        c2 = _per_member(lambda a: self.u0 * abs(a) ** 2, alpha)
+        cc = _per_member(lambda a: 2.0 * eta * a.real, alpha)
         v = self.pump_depth_of(eta) * self.prof_p2 \
-            + self.u0 * abs(alpha) ** 2 * self.prof_c2 \
-            + 2.0 * eta * alpha.real * self.prof_cc
+            + _field_axes(c2) * self.prof_c2 + _field_axes(cc) * self.prof_cc
         if self.trap:
             v = v + self.v_trap
         return v
@@ -172,13 +219,12 @@ class CondensateSim:
         """Mean-field energy per the instantaneous cavity amplitude, in E_r."""
         if alpha is None:
             alpha, _ = self.alpha_of(psi, eta)
-        da = self.grid.cell_area
         ft = sfft.fft2(psi)
-        kin = float((self.ksq * np.abs(ft) ** 2).sum()
-                    * da / (self.grid.points_x * self.grid.points_z))
+        kin = self._integral(self.ksq * np.abs(ft) ** 2) \
+            / (self.grid.points_x * self.grid.points_z)
         dens = np.abs(psi) ** 2
-        pot = float((self.potential(eta, alpha) * dens).sum() * da)
-        inter = 0.5 * self.g2d * float((dens**2).sum() * da)
+        pot = self._integral(self.potential(eta, alpha) * dens)
+        inter = 0.5 * self.g2d * self._integral(dens**2)
         return kin + pot + inter
 
     def edge_density_fraction(self, psi):
@@ -213,7 +259,8 @@ class CondensateSim:
         return self.renormalize(psi)
 
     def renormalize(self, psi):
-        return psi * math.sqrt(self.n_atoms / self.norm(psi))
+        """psi scaled to the atom number, each member of a stack on its own."""
+        return psi * _field_axes(np.sqrt(self.n_atoms / self.norm(psi)))
 
     # -- propagation ------------------------------------------------------
 
@@ -235,6 +282,10 @@ class CondensateSim:
     def _strang_steps(self, psi, ramp, dt, n_steps, imaginary):
         """Yield (psi, power, eta, alpha, op) at t = i*dt for i = 0..n_steps,
         where alpha and op belong to that psi.
+
+        psi is one field (nx, nz) or a stack (B, nx, nz) of members that
+        share the schedule; for a stack, alpha and op hold one value per
+        member, and the step acts on each member's slice alone.
 
         A step is V(dt/2) K(dt) V(dt/2): one fft2 and one ifft2 around the
         exact kinetic factor, between two multiplications by the same kind
@@ -277,45 +328,151 @@ class CondensateSim:
                                     psi0=None):
         """Relax to the self-consistent ground state at fixed pump strength.
 
-        Converged when the energy change per step drops below
-        tol_energy * N (E_r) and |dTheta| below tol_theta * N.  Returns a
-        dict with psi, alpha, theta, bunching, energy and the step count;
-        raises ConvergenceError (with the recent theta trace attached) if
+        A one-member ground_states call from psi0, or from
+        initial_state(seed, noise): coarse stages at dtau_c =
+        min(8*dtau, 1.6e-2) and dtau_c/2, then a stage at dtau from their
+        Richardson extrapolation (see ground_states).  Returns a dict with
+        psi, alpha, theta, bunching, energy, the step count of all stages
+        (``steps``) and the energy trace of the dtau stage
+        (``energy_trace``); max_steps bounds all stages together.  Raises
+        ConvergenceError (with the recent theta trace attached) if
         max_steps is exhausted.
         """
-        psi = self.initial_state(seed, noise) if psi0 is None else self.renormalize(psi0)
-        n = self.n_atoms
+        psi = self.initial_state(seed, noise) if psi0 is None else psi0
+        return self.ground_states(eta, np.asarray(psi)[None], dtau=dtau,
+                                  tol_energy=tol_energy, tol_theta=tol_theta,
+                                  max_steps=max_steps)[0]
+
+    def ground_states(self, eta, psi0s, *, dtau=2e-3, tol_energy=1e-10,
+                      tol_theta=1e-8, max_steps=200_000):
+        """Relax a stack psi0s (B, nx, nz) of start fields at fixed pump
+        strength; returns one imaginary_time_ground_state dict per member.
+
+        The split step's fixed point is O(dtau^2) from the ground state
+        (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)).  So each member,
+        renormalized, is relaxed coarse to fine: to the fixed points at
+        dtau_c = min(8*dtau, 1.6e-2) and at dtau_c/2, whose Richardson
+        extrapolation (4 psi(dtau_c/2) - psi(dtau_c))/3 is O(dtau_c^4) from
+        the ground state, then from that at dtau.  The coarse stages are
+        skipped when dtau_c/2 <= dtau.  Starting the last stage on the
+        unbiased side of its fixed point keeps its energy trace monotone in
+        the organized phase, where the energy is not the flow's Lyapunov
+        function and a coarse fixed point (larger |Theta|) lies below the
+        fine one.
+
+        A stage ends for a member when, over a sliding window of checks,
+        its energy change per step stays below tol_energy * N (E_r), its
+        |dTheta| below tol_theta * N, and |Theta| stops growing; a member
+        that has finished a stage is dropped from the stack, so the batch
+        shrinks as members converge, and the last stage's fields get their
+        edges checked.  ``steps`` counts all stages, max_steps bounds them
+        together, and ``energy_trace`` is the last stage's.  Raises
+        ConvergenceError naming every member (index into psi0s, also in
+        its ``members``) that did not converge within max_steps, with the
+        first one's recent theta trace attached.
+        """
+        psi = np.array(psi0s, dtype=complex)
+        if psi.ndim != 3:
+            raise ValueError("psi0s must be a stack of fields (B, nx, nz)")
+        psi = self.renormalize(psi)
+        shape = psi.shape[1:]
+        steps = np.zeros(len(psi), dtype=int)
+        unconverged = {}                    # member -> its theta trace
+        live = np.arange(len(psi))          # members still relaxing
+
+        def stage(psi, dt):
+            """Relax the live members from psi at dt; returns the states of
+            those that converge and the mask of psi's members they are."""
+            nonlocal live
+            found, th_hists = self._relax(psi, eta, dt, max_steps - steps[live],
+                                          tol_energy, tol_theta)
+            kept = np.array([gs is not None for gs in found], dtype=bool)
+            for m, gs, th_hist in zip(live, found, th_hists):
+                if gs is None:
+                    unconverged[m] = th_hist
+                else:
+                    steps[m] += gs["steps"]
+            live = live[kept]
+            done = [gs for gs in found if gs is not None]
+            return done, kept
+
+        def fields(states):
+            return np.array([gs["psi"] for gs in states],
+                            dtype=complex).reshape((-1,) + shape)
+
+        coarse = min(8 * dtau, _COARSE_DTAU)
+        if coarse > 2 * dtau:
+            rough = fields(stage(psi, coarse)[0])
+            half, kept = stage(rough, coarse / 2)
+            psi = self.renormalize((4 * fields(half) - rough[kept]) / 3)
+        states, _ = stage(psi, dtau)
+        if unconverged:
+            members = sorted(int(m) for m in unconverged)
+            err = ConvergenceError(
+                f"imaginary time not converged after {max_steps} steps: "
+                f"member{'s' * (len(members) > 1)} "
+                + ", ".join(map(str, members)))
+            err.members = members
+            err.theta_trace = np.array(unconverged[members[0]][-200:])
+            raise err
+        for m, gs in enumerate(states):
+            self._check_edges(gs["psi"], "imaginary time")
+            gs["steps"] = int(steps[m])
+        return states
+
+    def _relax(self, psi, eta, dtau, budgets, tol_energy, tol_theta):
+        """One relaxation stage of the stack psi at step dtau.
+
+        Member j runs until it passes the sliding-window test or has no
+        check left within budgets[j] steps.  Returns (found, theta traces):
+        found[j] is member j's state dict, None if it did not converge.
+        A member that has finished is dropped (psi[keep]), and the loop
+        restarts from the remaining stack; a restart recomputes alpha and
+        the potential factor from the same fields, so a member's steps do
+        not depend on the others.
+        """
         # convergence is judged over a sliding window of checks: near the
         # critical point the unstable mode grows slowly out of the noise, so
         # instantaneous differences alone would declare victory while the
         # state is still sliding off the normal-phase saddle
-        check_every = 10
-        window = 30
-        e_hist, th_hist = [], []
-        steps = self._strang_steps(psi, lambda t: (math.nan, eta), dtau,
-                                   max_steps, imaginary=True)
-        for step, (psi, _, _, alpha, op) in enumerate(steps):
-            if step and step % check_every == 0:
-                e_hist.append(self.energy(psi, eta, alpha))
-                th_hist.append(op.theta)
-                if len(e_hist) >= window:
-                    e_win = e_hist[-window:]
-                    th_win = th_hist[-window:]
-                    e_span = max(e_win) - min(e_win)
-                    th_span = max(th_win) - min(th_win)
-                    growing = abs(th_win[-1]) > 1.5 * abs(th_win[0]) \
-                        + tol_theta * n
-                    if (e_span < tol_energy * n * window * check_every
-                            and th_span < tol_theta * n and not growing):
-                        self._check_edges(psi, "imaginary time")
-                        return {"psi": psi, "alpha": alpha, "theta": op.theta,
-                                "bunching": op.bunching, "energy": e_hist[-1],
-                                "steps": step,
-                                "energy_trace": np.array(e_hist)}
-        err = ConvergenceError(
-            f"imaginary time not converged after {max_steps} steps")
-        err.theta_trace = np.array(th_hist[-200:])
-        raise err
+        n = self.n_atoms
+        tol_e = tol_energy * n * _WINDOW * _CHECK_EVERY
+        tol_th = tol_theta * n
+        found = [None] * len(psi)
+        e_hists = [[] for _ in found]
+        th_hists = [[] for _ in found]
+        active = np.arange(len(psi))
+        start = 0
+        while len(active):
+            n_steps = int(budgets[active].max()) - start
+            stepper = self._strang_steps(psi, lambda t: (math.nan, eta), dtau,
+                                         n_steps, imaginary=True)
+            for k, (psi, _, _, alpha, op) in enumerate(stepper):
+                step = start + k
+                if not k or step % _CHECK_EVERY:
+                    continue
+                energy = self.energy(psi, eta, alpha).tolist()
+                theta = op.theta.tolist()
+                keep = np.ones(len(active), dtype=bool)
+                for j, m in enumerate(active):
+                    e_hists[m].append(energy[j])
+                    th_hists[m].append(theta[j])
+                    if _settled(e_hists[m], th_hists[m], tol_e, tol_th):
+                        found[m] = {
+                            "psi": psi[j].copy(), "alpha": alpha.tolist()[j],
+                            "theta": theta[j],
+                            "bunching": op.bunching.tolist()[j],
+                            "energy": energy[j], "steps": step,
+                            "energy_trace": np.array(e_hists[m])}
+                        keep[j] = False
+                    elif step + _CHECK_EVERY > budgets[m]:
+                        keep[j] = False
+                if not keep.all():
+                    psi, active, start = psi[keep], active[keep], step
+                    break
+            else:
+                break           # no check left within any remaining budget
+        return found, th_hists
 
     def real_time_evolve(self, psi0, ramp, t_final, dt, *, record_every=1,
                          edge_check_every=2000, snapshot_times=None):

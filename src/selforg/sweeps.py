@@ -12,8 +12,12 @@ Determinism contract: for a fixed (config, seed) the data files are
 byte-identical across runs on one platform.  Excluded by construction:
 manifest.json and the wall_time_s column of sweep tables, which exist to
 record timings.  Sweep points run in a worker pool and receive the resolved
-RunConfig itself: a diagram point replaces its detuning and seed, and the
-members of an ensemble share one CondensateSim.  Each completed point is
+RunConfig itself: a diagram point replaces its detuning and seed.  The
+members of an ensemble share one CondensateSim and run as batches, one
+contiguous chunk of members per worker (capped by a field budget), each
+batch one CondensateSim.ground_states call on a stack of start fields; a
+member's result does not depend on its batch, so ensemble.csv does not
+depend on the number of workers.  Each completed diagram point is
 persisted immediately (a killed sweep loses at most the in-flight point)
 and the merged table is written in point order, independent of completion
 order.
@@ -40,6 +44,7 @@ from .grid import Grid2D, save_field
 from .gpe import (CondensateSim, PowerRamp, EtaRamp, detect_threshold,
                   oscillation_metric)
 from . import dicke
+from .dicke import ConvergenceError
 # thomas_fermi is unused here but traced on this module by perfbench/layers.py
 from .boundary import thomas_fermi, boundary_curve, boundary_table_csv
 
@@ -271,8 +276,12 @@ class RunDir:
         self._manifest["wall_times_s"][stage] = round(
             time.monotonic() - self._t0, 6)
 
-    def finish(self, status="ok"):
+    def finish(self, status="ok", error=None):
+        """Write manifest.json with the run's status and, for a failed
+        run, the error message."""
         self._manifest["status"] = status
+        if error is not None:
+            self._manifest["error"] = error
         self._manifest["wall_times_s"]["total"] = round(
             time.monotonic() - self._t0, 6)
         _atomic_write(self.file("manifest.json"),
@@ -556,22 +565,60 @@ def run_phase_diagram(config: RunConfig, rundir: RunDir, workers=None):
     return merged, all_ok
 
 
-def _ensemble_point(sim, config, index, eta, mirrored):
-    """Worker: one relaxed ground state; returns its ensemble.csv row."""
-    seed = point_seed(config.seed, index)
-    psi0 = sim.initial_state(seed=seed, noise=config.noise_amplitude)
-    if mirrored:
-        # shift the noise realization by half a pump wavelength along the
-        # cavity axis: swaps the checkerboard sublattices, so the relaxed
-        # state must come out with the opposite sign of Theta
-        shift_x = sim.grid.points_x // int(round(sim.grid.extent_x / math.pi))
-        psi0 = np.roll(psi0, shift_x, axis=0)
-    gs = sim.imaginary_time_ground_state(
-        eta, psi0=psi0, dtau=config.dtau,
-        tol_energy=config.gs_tol_energy, tol_theta=config.gs_tol_theta,
-        max_steps=config.gs_max_steps)
-    return (seed, float(np.sign(gs["theta"])), gs["theta"],
-            abs(gs["alpha"]) ** 2, gs["energy"], mirrored)
+# grid points per ensemble batch: a stack of (B, nx, nz) fields and its
+# temporaries, about 100 bytes a point, stay within a few tens of MiB
+_BATCH_POINTS = 2**18
+
+
+def _mirror_shift(config):
+    """Grid points in half a pump wavelength (pi in 1/k) along the cavity
+    axis x: the roll that swaps the checkerboard sublattices.
+
+    The roll is a symmetry of the run only when it moves by exactly pi (the
+    extent is a whole number n of pi and points_x divides by n) and nothing
+    but cos(x) depends on x (no trap, no envelopes; the trap would also see
+    the start cloud moved off its centre).  ConfigError otherwise.
+    """
+    if config.trap or config.envelopes:
+        raise ConfigError("mirrored pairs need trap = false and envelopes = "
+                          "false: a shift by half a pump wavelength moves the "
+                          "trap and the envelopes")
+    halves = config.grid_extent_x / math.pi
+    n = round(halves)
+    if n < 1 or abs(halves - n) > 1e-9 * halves or config.grid_points_x % n:
+        raise ConfigError(
+            f"mirrored pairs need grid_extent_x to be a whole number of pi "
+            f"whose count divides grid_points_x; got {halves:.6g} pi over "
+            f"{config.grid_points_x} points")
+    return config.grid_points_x // n
+
+
+def _ensemble_batch(sim, config, eta, members, shift_x):
+    """Worker: relax one batch of members, each an (index, mirrored) pair,
+    as one ground_states call; returns their ensemble.csv rows."""
+    seeds = [point_seed(config.seed, index) for index, _ in members]
+    psi0s = []
+    for seed, (_, mirrored) in zip(seeds, members):
+        psi0 = sim.initial_state(seed=seed, noise=config.noise_amplitude)
+        # a mirrored member's noise is shifted by half a pump wavelength
+        # along the cavity axis: that swaps the checkerboard sublattices, so
+        # the relaxed state must come out with the opposite sign of Theta
+        psi0s.append(np.roll(psi0, shift_x, axis=0) if mirrored else psi0)
+    try:
+        states = sim.ground_states(
+            eta, psi0s, dtau=config.dtau, tol_energy=config.gs_tol_energy,
+            tol_theta=config.gs_tol_theta, max_steps=config.gs_max_steps)
+    except ConvergenceError as exc:
+        names = ", ".join(
+            f"member {members[j][0]}{' mirrored' * members[j][1]} "
+            f"(seed {seeds[j]})" for j in exc.members)
+        err = ConvergenceError(f"imaginary time not converged after "
+                               f"{config.gs_max_steps} steps: {names}")
+        err.theta_trace = exc.theta_trace
+        raise err from exc
+    return [(seed, float(np.sign(gs["theta"])), gs["theta"],
+             abs(gs["alpha"]) ** 2, gs["energy"], mirrored)
+            for seed, (_, mirrored), gs in zip(seeds, members, states)]
 
 
 def ensemble_eta(config: RunConfig):
@@ -603,16 +650,24 @@ def run_symmetry_ensemble(config: RunConfig, rundir: RunDir = None,
     """Relax n_seeds noise realizations above threshold; tabulate sign(Theta).
 
     With mirrored_pairs each seed also runs with its noise shifted by half a
-    pump wavelength, which must flip the sign exactly.  Returns (rows,
-    stats) where stats carries the two-sided binomial test of the 50/50
-    sign hypothesis.
+    pump wavelength, which must flip the sign exactly; that needs a grid
+    and a model with that symmetry (ConfigError otherwise).  The members
+    run as one batch per worker, each batch at most _BATCH_POINTS grid
+    points.  Returns (rows, stats) where stats carries the two-sided
+    binomial test of the 50/50 sign hypothesis.
     """
     eta = ensemble_eta(config)
+    shift_x = _mirror_shift(config) if mirrored_pairs else 0
     sim = build_sim(config)
-    jobs = [(sim, config, i, eta, mirrored)
-            for i in range(config.n_seeds)
-            for mirrored in ((False, True) if mirrored_pairs else (False,))]
-    ordered = list(_map_points(_ensemble_point, jobs, workers))
+    members = [(i, mirrored) for i in range(config.n_seeds)
+               for mirrored in ((False, True) if mirrored_pairs else (False,))]
+    per_worker = math.ceil(len(members) / max(1, workers or 1))
+    size = max(1, min(per_worker, _BATCH_POINTS
+                      // (config.grid_points_x * config.grid_points_z)))
+    jobs = [(sim, config, eta, members[k:k + size], shift_x)
+            for k in range(0, len(members), size)]
+    ordered = [row for rows in _map_points(_ensemble_batch, jobs, workers)
+               for row in rows]
     base = [r for r in ordered if not r[5]]
     n_plus = sum(1 for r in base if r[1] > 0)
     n_minus = len(base) - n_plus

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from selforg import gpe
-from selforg.dicke import critical_coupling, DivergenceError
+from selforg.dicke import (critical_coupling, ConvergenceError,
+                           DivergenceError)
 from selforg.grid import Grid2D, GridError
 from selforg.gpe import (CondensateSim, PowerRamp, EtaRamp, cavity_amplitude,
                          detect_threshold, oscillation_metric)
@@ -432,6 +433,65 @@ def test_imaginary_time_bias_quarters_with_dtau():
         assert np.allclose(diffs[:-1] / diffs[1:], 4.0, atol=0.2)
     limit = theta[-1] - (theta[-2] - theta[-1]) / 3
     assert limit == pytest.approx(0.62568, rel=1.5e-2)
+
+
+def test_batch_members_relax_as_they_do_alone():
+    # a stack relaxes each member bit for bit as a one-member call does,
+    # whatever else is in the stack: here a member, its mirror (rolled by
+    # half a pump wavelength, 4 of 32 points over 8 pi) and a member with
+    # other noise, which converge at different steps
+    sim = ideal_sim()
+    eta = eta_of(1.3)
+    psi_a = sim.initial_state(seed=1, noise=1e-2)
+    psi0s = [psi_a, np.roll(psi_a, 4, axis=0),
+             sim.initial_state(seed=2, noise=1e-3)]
+    batch = sim.ground_states(eta, psi0s)
+    alone = [sim.imaginary_time_ground_state(eta, psi0=psi0)
+             for psi0 in psi0s]
+    assert len({gs["steps"] for gs in batch}) > 1
+    for got, want in zip(batch, alone):
+        assert np.array_equal(got["psi"], want["psi"])
+        for key in ("alpha", "theta", "bunching", "energy", "steps"):
+            assert got[key] == want[key], key
+        assert np.array_equal(got["energy_trace"], want["energy_trace"])
+    assert batch[0]["theta"] * batch[1]["theta"] < 0
+    assert abs(batch[0]["theta"]) == pytest.approx(abs(batch[1]["theta"]),
+                                                   rel=1e-6)
+
+
+def test_ground_state_is_a_fixed_point_of_its_dtau():
+    # after the coarse stage the state is relaxed again at the configured
+    # dtau: one more step at that dtau leaves Theta where it is
+    sim = ideal_sim()
+    eta = eta_of(1.3)
+    for dtau in (2e-3, 4e-3):
+        gs = sim.imaginary_time_ground_state(eta, seed=5, noise=1e-2,
+                                             dtau=dtau)
+        (_, _, _, _, op0), (_, _, _, _, op1) = sim._strang_steps(
+            gs["psi"], lambda t: (math.nan, eta), dtau, 1, imaginary=True)
+        assert op0.theta == gs["theta"]
+        assert abs(op1.theta - op0.theta) < 1e-8 * N_AT
+
+
+def test_coarse_stage_keeps_the_organized_branch_near_threshold():
+    # at 1.05 lambda_cr the coarse step (which moves lambda_cr by
+    # O(dtau^2)) must still hand the organized state to the fine stage,
+    # not the normal saddle with Theta at the noise floor and energy 0
+    sim = ideal_sim()
+    gs = sim.imaginary_time_ground_state(eta_of(1.05), seed=5, noise=1e-2)
+    assert abs(gs["theta"]) / N_AT > 0.1
+    assert gs["energy"] < 0
+
+
+def test_unconverged_members_are_named():
+    sim = ideal_sim()
+    psi0s = [sim.initial_state(seed=s, noise=1e-2) for s in (1, 2)]
+    with pytest.raises(ConvergenceError, match="members 0, 1$") as info:
+        sim.ground_states(eta_of(1.3), psi0s, max_steps=50)
+    assert info.value.members == [0, 1]
+    assert len(info.value.theta_trace) == 5
+    with pytest.raises(ConvergenceError, match="after 50 steps: member 0$"):
+        sim.imaginary_time_ground_state(eta_of(1.3), seed=1, max_steps=50)
 
 
 # ---------------------------------------------------------------------------

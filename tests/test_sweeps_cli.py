@@ -497,6 +497,63 @@ def test_symmetry_ensemble_and_mirrors(tmp_path):
     assert 0.0 <= stats_file["binomial_p"] <= 1.0
 
 
+ENSEMBLE_KEYS = {"n_seeds": "2", "noise_amplitude": "1e-2",
+                 "ensemble_eta": repr(2 * 1.3 * LAM_CR / math.sqrt(N_AT))}
+
+
+def test_ensemble_file_does_not_depend_on_batches(tmp_path):
+    # one batch of two members, or two batches of one in a pool of two:
+    # each member relaxes bit for bit the same
+    cfg = write_ideal_config(tmp_path / "ens.cfg", extra=ENSEMBLE_KEYS)
+    texts = []
+    for workers in (1, 2):
+        config = load_config(cfg, seed=5)
+        rd = RunDir(str(tmp_path / f"workers{workers}"), config)
+        run_symmetry_ensemble(config, rd, workers=workers)
+        texts.append((tmp_path / f"workers{workers}" / "ensemble.csv")
+                     .read_text())
+    assert len(texts[0].splitlines()) == 3
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("extra, reason", [
+    ({"trap": "true"}, "trap"),
+    ({"envelopes": "true"}, "envelopes"),
+    # 12 pi over 64 points: a roll of 64 // 12 = 5 points is 0.83 pi
+    ({"grid_extent_x": repr(12 * math.pi), "grid_points_x": "64"},
+     "whole number of pi"),
+    # 8.5 pi is no whole number of half pump wavelengths
+    ({"grid_extent_x": repr(8.5 * math.pi), "grid_points_x": "64"},
+     "whole number of pi"),
+])
+def test_mirrored_pairs_need_an_exact_mirror(tmp_path, extra, reason):
+    cfg = write_ideal_config(tmp_path / "ens.cfg",
+                             extra={**ENSEMBLE_KEYS, **extra})
+    config = load_config(cfg)
+    with pytest.raises(ConfigError, match=reason):
+        run_symmetry_ensemble(config, None, mirrored_pairs=True)
+    # without mirrored pairs the grid is valid (the trapped bed is not
+    # built: its grid fails the Thomas-Fermi extent rule)
+    if "trap" not in extra:
+        sweeps.build_sim(config)
+
+
+def test_ensemble_failure_names_the_member(tmp_path, capsys):
+    cfg = write_ideal_config(tmp_path / "ens.cfg", extra={
+        **ENSEMBLE_KEYS, "n_seeds": "3", "gs_max_steps": "50"})
+    out = tmp_path / "fail"
+    code = cli.main(["ensemble", "--config", cfg, "--out", str(out),
+                     "--workers", "1", "--seed", "4"])
+    assert code == cli.EXIT_ENGINE
+    seeds = [point_seed(4, i) for i in range(3)]
+    named = ", ".join(f"member {i} (seed {s})" for i, s in enumerate(seeds))
+    message = f"not converged after 50 steps: {named}"
+    assert message in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "engine-failure"
+    assert message in manifest["error"]
+
+
 def test_ensemble_requires_pump(tmp_path):
     cfg = write_ideal_config(tmp_path / "e2.cfg")
     config = load_config(cfg)

@@ -33,7 +33,8 @@ B per member, and a 2D field is the B-less case of the same code.  Each
 operation acts on one member's slice alone (FFTs and sums over the last
 two axes, elementwise products), so a member's result is bit for bit the
 same whatever else is in its stack.  ground_states relaxes such a stack,
-coarse to fine, dropping members as they converge.
+coarse to fine, in one pass of the loop per stage: a member that has
+converged keeps stepping with the stack, unchecked.
 """
 
 import functools
@@ -216,7 +217,12 @@ class CondensateSim:
         return v
 
     def energy(self, psi, eta, alpha=None):
-        """Mean-field energy per the instantaneous cavity amplitude, in E_r."""
+        """Mean-field energy per the instantaneous cavity amplitude, in E_r.
+
+        The cavity terms enter at full weight, as integral V(alpha)|psi|^2,
+        though alpha is itself linear in the density; so in the organized
+        phase this is not the quantity that imaginary time lowers.
+        """
         if alpha is None:
             alpha, _ = self.alpha_of(psi, eta)
         ft = sfft.fft2(psi)
@@ -360,13 +366,14 @@ class CondensateSim:
         function and a coarse fixed point (larger |Theta|) lies below the
         fine one.
 
-        A stage ends for a member when, over a sliding window of checks,
-        its energy change per step stays below tol_energy * N (E_r), its
-        |dTheta| below tol_theta * N, and |Theta| stops growing; a member
-        that has finished a stage is dropped from the stack, so the batch
-        shrinks as members converge, and the last stage's fields get their
-        edges checked.  ``steps`` counts all stages, max_steps bounds them
-        together, and ``energy_trace`` is the last stage's.  Raises
+        Each stage is one _relax pass over the whole stack, row m being
+        member m in every stage.  A stage ends for a member when, over a
+        sliding window of checks, its energy change per step stays below
+        tol_energy * N (E_r), its |dTheta| below tol_theta * N, and |Theta|
+        stops growing; the last stage's fields get their edges checked.
+        ``steps`` counts all stages, max_steps bounds them together (a
+        member that runs out is charged all of it, so later stages leave
+        it unchecked), and ``energy_trace`` is the last stage's.  Raises
         ConvergenceError naming every member (index into psi0s, also in
         its ``members``) that did not converge within max_steps, with the
         first one's recent theta trace attached.
@@ -375,39 +382,27 @@ class CondensateSim:
         if psi.ndim != 3:
             raise ValueError("psi0s must be a stack of fields (B, nx, nz)")
         psi = self.renormalize(psi)
-        shape = psi.shape[1:]
         steps = np.zeros(len(psi), dtype=int)
         unconverged = {}                    # member -> its theta trace
-        live = np.arange(len(psi))          # members still relaxing
-
-        def stage(psi, dt):
-            """Relax the live members from psi at dt; returns the states of
-            those that converge and the mask of psi's members they are."""
-            nonlocal live
-            found, th_hists = self._relax(psi, eta, dt, max_steps - steps[live],
+        coarse = min(8 * dtau, _COARSE_DTAU)
+        fixed_points = []                   # the coarse stages' stacks
+        for dt in (coarse, coarse / 2, dtau) if coarse > 2 * dtau else (dtau,):
+            if len(fixed_points) == 2:
+                rough, half = fixed_points
+                psi = self.renormalize((4 * half - rough) / 3)
+            found, th_hists = self._relax(psi, eta, dt, max_steps - steps,
                                           tol_energy, tol_theta)
-            kept = np.array([gs is not None for gs in found], dtype=bool)
-            for m, gs, th_hist in zip(live, found, th_hists):
+            psi = psi.copy()
+            for m, gs in enumerate(found):
                 if gs is None:
-                    unconverged[m] = th_hist
+                    unconverged.setdefault(m, th_hists[m])
+                    steps[m] = max_steps
                 else:
                     steps[m] += gs["steps"]
-            live = live[kept]
-            done = [gs for gs in found if gs is not None]
-            return done, kept
-
-        def fields(states):
-            return np.array([gs["psi"] for gs in states],
-                            dtype=complex).reshape((-1,) + shape)
-
-        coarse = min(8 * dtau, _COARSE_DTAU)
-        if coarse > 2 * dtau:
-            rough = fields(stage(psi, coarse)[0])
-            half, kept = stage(rough, coarse / 2)
-            psi = self.renormalize((4 * fields(half) - rough[kept]) / 3)
-        states, _ = stage(psi, dtau)
+                    psi[m] = gs["psi"]
+            fixed_points.append(psi)
         if unconverged:
-            members = sorted(int(m) for m in unconverged)
+            members = sorted(unconverged)
             err = ConvergenceError(
                 f"imaginary time not converged after {max_steps} steps: "
                 f"member{'s' * (len(members) > 1)} "
@@ -415,21 +410,22 @@ class CondensateSim:
             err.members = members
             err.theta_trace = np.array(unconverged[members[0]][-200:])
             raise err
-        for m, gs in enumerate(states):
+        for gs, n in zip(found, steps.tolist()):
             self._check_edges(gs["psi"], "imaginary time")
-            gs["steps"] = int(steps[m])
-        return states
+            gs["steps"] = n
+        return found
 
     def _relax(self, psi, eta, dtau, budgets, tol_energy, tol_theta):
-        """One relaxation stage of the stack psi at step dtau.
+        """One relaxation stage of the stack psi at step dtau: one pass of
+        _strang_steps over the whole stack.
 
-        Member j runs until it passes the sliding-window test or has no
-        check left within budgets[j] steps.  Returns (found, theta traces):
-        found[j] is member j's state dict, None if it did not converge.
-        A member that has finished is dropped (psi[keep]), and the loop
-        restarts from the remaining stack; a restart recomputes alpha and
-        the potential factor from the same fields, so a member's steps do
-        not depend on the others.
+        Member m is checked until it passes the sliding-window test or has
+        no check left within budgets[m] steps (none if budgets[m] <= 0).  A
+        settled member is not checked again but keeps stepping, which is
+        harmless: every operation acts on one member's slice alone.  The
+        pass ends when no member is left to check.  Returns (found, theta
+        traces): found[m] is member m's state dict, None if it did not
+        converge.
         """
         # convergence is judged over a sliding window of checks: near the
         # critical point the unstable mode grows slowly out of the noise, so
@@ -441,37 +437,29 @@ class CondensateSim:
         found = [None] * len(psi)
         e_hists = [[] for _ in found]
         th_hists = [[] for _ in found]
-        active = np.arange(len(psi))
-        start = 0
-        while len(active):
-            n_steps = int(budgets[active].max()) - start
-            stepper = self._strang_steps(psi, lambda t: (math.nan, eta), dtau,
-                                         n_steps, imaginary=True)
-            for k, (psi, _, _, alpha, op) in enumerate(stepper):
-                step = start + k
-                if not k or step % _CHECK_EVERY:
-                    continue
-                energy = self.energy(psi, eta, alpha).tolist()
-                theta = op.theta.tolist()
-                keep = np.ones(len(active), dtype=bool)
-                for j, m in enumerate(active):
-                    e_hists[m].append(energy[j])
-                    th_hists[m].append(theta[j])
-                    if _settled(e_hists[m], th_hists[m], tol_e, tol_th):
-                        found[m] = {
-                            "psi": psi[j].copy(), "alpha": alpha.tolist()[j],
-                            "theta": theta[j],
-                            "bunching": op.bunching.tolist()[j],
-                            "energy": energy[j], "steps": step,
-                            "energy_trace": np.array(e_hists[m])}
-                        keep[j] = False
-                    elif step + _CHECK_EVERY > budgets[m]:
-                        keep[j] = False
-                if not keep.all():
-                    psi, active, start = psi[keep], active[keep], step
-                    break
-            else:
-                break           # no check left within any remaining budget
+        checking = budgets > 0
+        stepper = self._strang_steps(psi, lambda t: (math.nan, eta), dtau,
+                                     int(budgets.max(initial=0)),
+                                     imaginary=True)
+        for step, (psi, _, _, alpha, op) in enumerate(stepper):
+            if not step or step % _CHECK_EVERY:
+                continue
+            energy = self.energy(psi, eta, alpha).tolist()
+            theta = op.theta.tolist()
+            for m in np.flatnonzero(checking):
+                e_hists[m].append(energy[m])
+                th_hists[m].append(theta[m])
+                if _settled(e_hists[m], th_hists[m], tol_e, tol_th):
+                    found[m] = {
+                        "psi": psi[m].copy(), "alpha": alpha.tolist()[m],
+                        "theta": theta[m], "bunching": op.bunching.tolist()[m],
+                        "energy": energy[m], "steps": step,
+                        "energy_trace": np.array(e_hists[m])}
+                    checking[m] = False
+                elif step + _CHECK_EVERY > budgets[m]:
+                    checking[m] = False
+            if not checking.any():
+                break
         return found, th_hists
 
     def real_time_evolve(self, psi0, ramp, t_final, dt, *, record_every=1,

@@ -156,7 +156,8 @@ def resolve_config(mapping, seed=0):
     """Resolve a flat mapping of config text into a RunConfig.
 
     Unknown keys are rejected; every missing key takes its documented
-    default.
+    default.  Step and member counts below 1 and time steps that are not
+    positive are rejected too.
     """
     unknown = sorted(set(mapping) - _CONFIG_KEYS)
     if unknown:
@@ -172,6 +173,12 @@ def resolve_config(mapping, seed=0):
     if config.engine not in ENGINES:
         raise ConfigError(f"unknown engine {config.engine!r}; "
                           f"choose from {', '.join(ENGINES)}")
+    for key in ("record_every", "consecutive", "n_seeds", "gs_max_steps"):
+        if (value := getattr(config, key)) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
+    for key, value in (("dtau", config.dtau), ("dt", config.dt)):
+        if not (value > 0 or key == "dt" and math.isnan(value)):  # NaN: auto
+            raise ConfigError(f"{key} must be > 0, got {value!r}")
     return config
 
 

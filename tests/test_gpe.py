@@ -492,6 +492,15 @@ def test_unconverged_members_are_named():
     assert len(info.value.theta_trace) == 5
     with pytest.raises(ConvergenceError, match="after 50 steps: member 0$"):
         sim.imaginary_time_ground_state(eta_of(1.3), seed=1, max_steps=50)
+    # alone, these members settle in 3,500 and 3,510 steps: in one stack
+    # under a 3,505-step budget only the second is named
+    psi0s = [sim.initial_state(seed=1, noise=1e-2),
+             sim.initial_state(seed=2, noise=1e-3)]
+    with pytest.raises(ConvergenceError,
+                       match="3505 steps: member 1$") as info:
+        sim.ground_states(eta_of(1.3), psi0s, max_steps=3505)
+    assert info.value.members == [1]
+    assert len(info.value.theta_trace) == 143
 
 
 # ---------------------------------------------------------------------------

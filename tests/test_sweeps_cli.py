@@ -79,6 +79,12 @@ def _field_values(f):
     """Every value of a run key's type that a config file can hold."""
     if f.name == "engine":
         return st.sampled_from(sweeps.ENGINES)
+    # resolve_config rejects counts below 1 and time steps that are not > 0
+    if f.name in ("record_every", "consecutive", "n_seeds", "gs_max_steps"):
+        return st.integers(min_value=1)
+    if f.name in ("dt", "dtau"):
+        positive = st.floats(min_value=0.0, exclude_min=True)
+        return positive | st.just(math.nan) if f.name == "dt" else positive
     if f.type is str:       # one token: no '#', line break or blank
         return st.from_regex(r"[A-Za-z0-9_.+-]+", fullmatch=True)
     if f.type is bool:
@@ -384,6 +390,20 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "engine failure" in err and "engine=gpe" not in err, command
         if command == "dicke-ode":
             assert "engine=dicke-semiclassical" in err
+
+
+@pytest.mark.parametrize("command, override", [
+    ("ramp", "record_every=0"), ("ramp", "record_every=-1"),
+    ("ramp", "consecutive=0"), ("ensemble", "n_seeds=0"),
+    ("ensemble", "gs_max_steps=0"), ("ensemble", "dtau=0"),
+    ("ensemble", "dtau=-2e-3"), ("ramp", "dt=0"), ("ramp", "dt=-1e-9")])
+def test_out_of_range_counts_and_steps_are_config_errors(tmp_path, capsys,
+                                                         command, override):
+    cfg = write_ideal_config(tmp_path / "c.cfg", extra=ENSEMBLE_KEYS)
+    code = cli.main([command, "--config", cfg, "--override", override,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert override.split("=")[0] in capsys.readouterr().err
 
 
 @pytest.mark.slow

@@ -32,9 +32,12 @@ Every field helper and the loop also take a stack of fields of shape
 B per member, and a 2D field is the B-less case of the same code.  Each
 operation acts on one member's slice alone (FFTs and sums over the last
 two axes, elementwise products), so a member's result is bit for bit the
-same whatever else is in its stack.  ground_states relaxes such a stack,
-coarse to fine, in one pass of the loop per stage: a member that has
-converged keeps stepping with the stack, unchecked.
+same whatever else is in its stack.  alpha and the potential's
+coefficients use real +, -, * and / only, which round alike in Python
+floats and numpy arrays (complex division does not), so one expression
+serves a 2D field's scalars and a stack's arrays.  ground_states relaxes
+such a stack, coarse to fine, in one pass of the loop per stage: a member
+that has converged keeps stepping with the stack, unchecked.
 """
 
 import functools
@@ -69,32 +72,9 @@ _WINDOW = 30            # checks in the sliding convergence window
 _COARSE_DTAU = 1.6e-2   # cap on the coarse relaxation stage's step
 
 
-def _per_member(fn, *values):
-    """fn on each member's Python scalars: a scalar for a 2D field's values,
-    an array over the members for a stack's.  Per-member scalar arithmetic
-    keeps a member's alpha and potential coefficients bit for bit those of
-    the same field on its own (numpy's complex division differs from
-    CPython's in the last bit)."""
-    if np.ndim(values[0]) == 0:
-        return fn(*values)
-    return np.array([fn(*v) for v in zip(*(np.asarray(x).tolist()
-                                            for x in values))])
-
-
 def _field_axes(value):
     """A per-member scalar or array, shaped to broadcast against fields."""
     return np.asarray(value)[..., None, None]
-
-
-def _settled(e_hist, th_hist, tol_e, tol_th):
-    """The sliding-window convergence test over one member's checks."""
-    if len(e_hist) < _WINDOW:
-        return False
-    e_win = e_hist[-_WINDOW:]
-    th_win = th_hist[-_WINDOW:]
-    growing = abs(th_win[-1]) > 1.5 * abs(th_win[0]) + tol_th
-    return (max(e_win) - min(e_win) < tol_e
-            and max(th_win) - min(th_win) < tol_th and not growing)
 
 
 @dataclass(frozen=True)
@@ -106,11 +86,15 @@ class OrderParameters:
 def cavity_amplitude(theta, bunching, eta, delta_c, u0, kappa):
     """alpha = eta*Theta / (Delta_c - U0*B + i*kappa); any consistent units.
 
-    kappa > 0 keeps the denominator away from zero for every Theta, B.
+    Scalars or broadcasting arrays, in real arithmetic (see the module
+    docstring).  kappa > 0 keeps the denominator away from zero.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    return eta * theta / ((delta_c - u0 * bunching) + 1j * kappa)
+    detuning = delta_c - u0 * bunching
+    gain = eta * theta / (detuning * detuning + kappa * kappa)
+    # gain*(detuning - i*kappa), with complex division's signs of zero
+    return -(gain * (1j * kappa - detuning))
 
 
 class CondensateSim:
@@ -194,10 +178,8 @@ class CondensateSim:
 
     def alpha_of(self, psi, eta):
         op = self.order_parameters(psi)
-        return _per_member(
-            lambda theta, bunching: cavity_amplitude(
-                theta, bunching, eta, self.delta_c, self.u0, self.kappa),
-            op.theta, op.bunching), op
+        return cavity_amplitude(op.theta, op.bunching, eta, self.delta_c,
+                                self.u0, self.kappa), op
 
     def pump_depth_of(self, eta):
         """Scaled lattice depth v0 = eta^2/u0 (<= 0 in the red regime)."""
@@ -208,8 +190,8 @@ class CondensateSim:
     def potential(self, eta, alpha):
         """Dynamic potential grid in E_r (without the collisional term); a
         stack of grids for an array of per-member alphas."""
-        c2 = _per_member(lambda a: self.u0 * abs(a) ** 2, alpha)
-        cc = _per_member(lambda a: 2.0 * eta * a.real, alpha)
+        c2 = self.u0 * (alpha.real * alpha.real + alpha.imag * alpha.imag)
+        cc = 2.0 * eta * alpha.real
         v = self.pump_depth_of(eta) * self.prof_p2 \
             + _field_axes(c2) * self.prof_c2 + _field_axes(cc) * self.prof_cc
         if self.trap:
@@ -390,12 +372,12 @@ class CondensateSim:
             if len(fixed_points) == 2:
                 rough, half = fixed_points
                 psi = self.renormalize((4 * half - rough) / 3)
-            found, th_hists = self._relax(psi, eta, dt, max_steps - steps,
-                                          tol_energy, tol_theta)
+            found, th_traces = self._relax(psi, eta, dt, max_steps - steps,
+                                           tol_energy, tol_theta)
             psi = psi.copy()
             for m, gs in enumerate(found):
                 if gs is None:
-                    unconverged.setdefault(m, th_hists[m])
+                    unconverged.setdefault(m, th_traces[m])
                     steps[m] = max_steps
                 else:
                     steps[m] += gs["steps"]
@@ -420,23 +402,20 @@ class CondensateSim:
         _strang_steps over the whole stack.
 
         Member m is checked until it passes the sliding-window test or has
-        no check left within budgets[m] steps (none if budgets[m] <= 0).  A
-        settled member is not checked again but keeps stepping, which is
-        harmless: every operation acts on one member's slice alone.  The
-        pass ends when no member is left to check.  Returns (found, theta
-        traces): found[m] is member m's state dict, None if it did not
-        converge.
+        no check left within budgets[m] steps (none if budgets[m] <= 0); a
+        settled member keeps stepping, unchecked.  The pass ends when no
+        member is left to check.  Returns (found, theta traces): found[m] is
+        member m's state dict, None if it did not converge.
         """
         # convergence is judged over a sliding window of checks: near the
         # critical point the unstable mode grows slowly out of the noise, so
         # instantaneous differences alone would declare victory while the
         # state is still sliding off the normal-phase saddle
-        n = self.n_atoms
-        tol_e = tol_energy * n * _WINDOW * _CHECK_EVERY
-        tol_th = tol_theta * n
+        tol_e = tol_energy * self.n_atoms * _WINDOW * _CHECK_EVERY
+        tol_th = tol_theta * self.n_atoms
         found = [None] * len(psi)
-        e_hists = [[] for _ in found]
-        th_hists = [[] for _ in found]
+        energies, thetas = [], []           # one row over the stack per check
+        checks = np.zeros(len(psi), dtype=int)    # each member's checks
         checking = budgets > 0
         stepper = self._strang_steps(psi, lambda t: (math.nan, eta), dtau,
                                      int(budgets.max(initial=0)),
@@ -444,23 +423,28 @@ class CondensateSim:
         for step, (psi, _, _, alpha, op) in enumerate(stepper):
             if not step or step % _CHECK_EVERY:
                 continue
-            energy = self.energy(psi, eta, alpha).tolist()
-            theta = op.theta.tolist()
-            for m in np.flatnonzero(checking):
-                e_hists[m].append(energy[m])
-                th_hists[m].append(theta[m])
-                if _settled(e_hists[m], th_hists[m], tol_e, tol_th):
-                    found[m] = {
-                        "psi": psi[m].copy(), "alpha": alpha.tolist()[m],
-                        "theta": theta[m], "bunching": op.bunching.tolist()[m],
-                        "energy": energy[m], "steps": step,
-                        "energy_trace": np.array(e_hists[m])}
-                    checking[m] = False
-                elif step + _CHECK_EVERY > budgets[m]:
-                    checking[m] = False
+            energies.append(self.energy(psi, eta, alpha))
+            thetas.append(op.theta)
+            checks[checking] += 1
+            e_win = np.array(energies[-_WINDOW:])
+            th_win = np.array(thetas[-_WINDOW:])
+            growing = abs(th_win[-1]) > 1.5 * abs(th_win[0]) + tol_th
+            settled = (checking & (len(energies) >= _WINDOW)
+                       & (np.ptp(e_win, axis=0) < tol_e)
+                       & (np.ptp(th_win, axis=0) < tol_th) & ~growing)
+            for m in np.flatnonzero(settled):
+                found[m] = {
+                    "psi": psi[m].copy(), "alpha": alpha[m].item(),
+                    "theta": op.theta[m].item(),
+                    "bunching": op.bunching[m].item(),
+                    "energy": energies[-1][m].item(), "steps": step,
+                    "energy_trace": np.array(energies)[:, m].copy()}
+            checking &= ~settled & (step + _CHECK_EVERY <= budgets)
             if not checking.any():
                 break
-        return found, th_hists
+        # member m's theta trace is its column up to its last check
+        thetas = np.reshape(thetas, (-1, len(psi))).T
+        return found, [trace[:k] for trace, k in zip(thetas, checks)]
 
     def real_time_evolve(self, psi0, ramp, t_final, dt, *, record_every=1,
                          edge_check_every=2000, snapshot_times=None):
@@ -531,20 +515,21 @@ class CondensateSim:
         return px, pz, spec
 
     def momentum_peaks(self, psi, centers=None, half_width=0.5):
-        """Integrated weights in half-open boxes around the given momentum
-        centers (units of hbar*k).  Default centers cover the condensate
-        peak, the pump-lattice doublet and the checkerboard quartet."""
+        """Integrated weights in boxes of half_width around the given
+        momentum centers (units of hbar*k).  A grid momentum on a box edge
+        (to 1e-9) weighs 1/2, on a corner 1/4, so mirrored boxes get
+        mirrored weights.  Default centers cover the condensate peak, the
+        pump-lattice doublet and the checkerboard quartet."""
         if centers is None:
             centers = [(0, 0), (0, 2), (0, -2), (2, 0), (-2, 0),
                        (1, 1), (1, -1), (-1, 1), (-1, -1)]
         px, pz, spec = self.momentum_spectrum(psi)
-        rows = []
-        for cx, cz in centers:
-            mx = (px >= cx - half_width) & (px < cx + half_width)
-            mz = (pz >= cz - half_width) & (pz < cz + half_width)
-            rows.append((float(cx), float(cz),
-                         float(spec[np.ix_(mx, mz)].sum())))
-        return rows
+        def weights(p, center):
+            outside = np.abs(p - center) - half_width    # < 0 inside
+            return np.where(np.abs(outside) <= 1e-9, 0.5, outside < 0)
+        return [(float(cx), float(cz),
+                 float(weights(px, cx) @ spec @ weights(pz, cz)))
+                for cx, cz in centers]
 
     def overlap_integrals_2d(self, psi):
         """(N_eff, B0, E_int) of a given state on this grid.

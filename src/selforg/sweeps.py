@@ -118,7 +118,7 @@ class RunConfig:
     dicke_n_atoms: int = 8
     dicke_n_max: int = 60
     lambda_list: Floats = ()            # units of omega_r, ED sweeps
-    t_final: float = math.nan           # s, ODE runs; NaN = 50/kappa
+    t_final: float = math.nan           # s, ODE runs; NaN = ramp_time
 
 
 # every config key beyond the embedded experiment parameters
@@ -341,16 +341,15 @@ def build_sim(config: RunConfig):
     return sim
 
 
-def build_ramp(config: RunConfig, power_end=None):
+def build_ramp(config: RunConfig):
     """Schedule from the config: linear power ramp, or linear eta ramp when
     eta_end is set (idealized mode).  Times are scaled by omega_r."""
     d = derive(config.params)
     t_ramp = config.ramp_time * d.recoil_frequency
     if not math.isnan(config.eta_end):
         return EtaRamp([(0.0, 0.0), (t_ramp, config.eta_end)]), t_ramp
-    pe = config.power_end if power_end is None else power_end
-    return PowerRamp(config.params,
-                     [(0.0, config.power_start), (t_ramp, pe)]), t_ramp
+    return PowerRamp(config.params, [(0.0, config.power_start),
+                                     (t_ramp, config.power_end)]), t_ramp
 
 
 def _auto_dt(config: RunConfig):
@@ -433,9 +432,9 @@ def _require_power_ramp(config, key):
         raise ConfigError(f"{key} needs a power ramp; eta_end is set")
 
 
-def _run_ramp_gpe(config, rundir, power_end=None):
+def _run_ramp_gpe(config, rundir):
     sim = build_sim(config)
-    ramp, t_ramp = build_ramp(config, power_end)
+    ramp, t_ramp = build_ramp(config)
     dt = _auto_dt(config)
     psi0 = sim.initial_state(seed=config.seed, noise=config.noise_amplitude)
 
@@ -471,7 +470,8 @@ def _run_ramp_gpe(config, rundir, power_end=None):
 
 
 def _run_ramp_ode(config, rundir):
-    """Coupling ramp 0 -> dicke_coupling over ramp_time (semiclassical).
+    """Coupling ramp 0 -> dicke_coupling over t_final, else ramp_time
+    (semiclassical).
 
     Runs in recoil units like the gpe engine: dicke_* config keys are in
     units of omega_r and the trajectory time axis is in 1/omega_r.
@@ -506,7 +506,7 @@ def _run_ramp_ode(config, rundir):
     return rec, report
 
 
-def _diagram_point(config, index, delta_c, power_end):
+def _diagram_point(config, index, delta_c):
     """Worker: one detuning of the phase diagram (its own ramp)."""
     t0 = time.monotonic()
     config = replace(config, seed=point_seed(config.seed, index),
@@ -514,7 +514,7 @@ def _diagram_point(config, index, delta_c, power_end):
                                     pump_cavity_detuning=float(delta_c)))
     rows = []
     try:
-        rec, report = _run_ramp_gpe(config, None, power_end=power_end)
+        rec, report = _run_ramp_gpe(config, None)
         osc = report["oscillation"]
         frustrated = osc > config.oscillation_threshold
         p_cr = report["power"] if report["detected"] else math.nan
@@ -560,7 +560,7 @@ def run_phase_diagram(config: RunConfig, rundir: RunDir, workers=None):
 
     merged = []
     all_ok = True
-    jobs = [(config, i, dc, caps[i] if caps else None)
+    jobs = [(replace(config, power_end=caps[i]) if caps else config, i, dc)
             for i, dc in enumerate(deltas)]
     for index, rows, ok in _map_points(_diagram_point, jobs, workers):
         merged.extend(rows)

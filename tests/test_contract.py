@@ -5,6 +5,7 @@ Internals may move freely; these may not change without a deliberate edit
 here.
 """
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -153,3 +154,40 @@ def test_cli_import_loads_no_heavy_scipy_modules():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_probes_install_and_uninstall(monkeypatch):
+    # perfbench traces a run by patching the program's names in place; a
+    # name it patches that the program no longer has fails here, not only
+    # as an AttributeError in a traced benchmark run
+    from selforg import boundary, dicke, gpe, sweeps
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
+    tracer = _load_by_path("tracer", os.path.join(bench, "tracer.py"))
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    layers = _load_by_path("layers", os.path.join(bench, "layers.py"))
+    owners = [boundary, cli, dicke, gpe, sweeps, gpe.CondensateSim,
+              sweeps.RunDir]
+    before = [dict(vars(owner)) for owner in owners]
+    probes = tracer.Tracer()
+    layers.install_probes(probes, layers.Counts())
+    probes.install()
+    try:
+        patched = {(owner.__name__, name)
+                   for owner, was in zip(owners, before)
+                   for name, value in vars(owner).items()
+                   if was.get(name) is not value}
+    finally:
+        probes.uninstall()
+    assert {owner for owner, _ in patched} == {o.__name__ for o in owners}
+    for owner, was in zip(owners, before):
+        now = vars(owner)
+        assert now.keys() == was.keys()
+        assert all(now[name] is value for name, value in was.items())

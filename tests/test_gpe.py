@@ -98,8 +98,36 @@ def test_cavity_amplitude():
     a1 = cavity_amplitude(123.0, 5e3, 0.4, -500.0, -1e-3, 348.5)
     a2 = cavity_amplitude(-123.0, 5e3, 0.4, -500.0, -1e-3, 348.5)
     assert a2 == pytest.approx(-a1, rel=1e-15)
-    with pytest.raises(ValueError):
-        cavity_amplitude(1.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+    # arrays broadcast, each element equal to the scalar value
+    theta = np.array([[0.0, 123.0, -123.0]])
+    bunching = np.array([[5e3], [2.5e3]])
+    alpha = cavity_amplitude(theta, bunching, 0.4, -500.0, -1e-3, 348.5)
+    assert alpha.shape == (2, 3)
+    for (i, j), a in np.ndenumerate(alpha):
+        assert a == cavity_amplitude(theta[0, j].item(), bunching[i, 0].item(),
+                                     0.4, -500.0, -1e-3, 348.5)
+    for kappa in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            cavity_amplitude(1.0, 0.0, 1.0, 1.0, 0.0, kappa)
+        with pytest.raises(ValueError):
+            cavity_amplitude(theta, bunching, 0.4, -500.0, -1e-3, kappa)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 4, 7, 50])
+def test_member_cavity_terms_do_not_depend_on_batch(batch):
+    # alpha and the potential of each stack member equal the 2D field's
+    # values bit for bit, whatever the batch size
+    sim = ideal_sim(pump_lattice=True)
+    eta = eta_of(1.3)
+    psi = np.array([sim.initial_state(seed=s, noise=0.3)
+                    for s in range(batch)])
+    alphas, _ = sim.alpha_of(psi, eta)
+    potentials = sim.potential(eta, alphas)
+    assert alphas.shape == (batch,)
+    for m in range(batch):
+        alpha, _ = sim.alpha_of(psi[m], eta)
+        assert alphas[m] == alpha
+        assert np.array_equal(potentials[m], sim.potential(eta, alpha))
 
 
 def test_dynamic_potential_alpha_zero():
@@ -156,6 +184,22 @@ def test_checkerboard_spectrum_has_four_peaks():
     peaks = dict(((cx, cz), w) for cx, cz, w in sim.momentum_peaks(psi))
     for corner in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
         assert peaks[corner] == pytest.approx(N_AT / 4, rel=1e-12)
+
+
+def test_momentum_boxes_are_mirror_symmetric():
+    # a real field has a mirror-symmetric spectrum; the grid momenta +-0.5 k
+    # and +-1.5 k lie on the quartet boxes' edges and count half in each
+    sim = ideal_sim(n=64)
+    x, z = sim.grid.x(), sim.grid.z()
+    cloud = np.exp(-(x**2 + z**2) / 72.0) * (1 + 0.5 * np.cos(x) * np.cos(z))
+    psi = sim.renormalize(cloud.astype(complex))
+    peaks = dict(((cx, cz), w) for cx, cz, w in sim.momentum_peaks(psi))
+    assert peaks[(1.0, 1.0)] == pytest.approx(peaks[(-1.0, -1.0)], rel=1e-12)
+    assert peaks[(1.0, -1.0)] == pytest.approx(peaks[(-1.0, 1.0)], rel=1e-12)
+    # boxes around every integer momentum tile the grid: each point once
+    everywhere = [(i, j) for i in range(-8, 9) for j in range(-8, 9)]
+    total = sum(w for _, _, w in sim.momentum_peaks(psi, everywhere))
+    assert total == pytest.approx(N_AT, rel=1e-12)
 
 
 def test_overlap_integrals_2d():

@@ -463,11 +463,11 @@ def test_diagram_partial_failure_persists_points(tmp_path, monkeypatch):
     real = sweeps._run_ramp_gpe
     calls = {"n": 0}
 
-    def flaky(config, rundir, power_end=None):
+    def flaky(config, rundir):
         calls["n"] += 1
         if calls["n"] == 2:
             raise RuntimeError("injected failure")
-        return real(config, rundir, power_end)
+        return real(config, rundir)
 
     monkeypatch.setattr(sweeps, "_run_ramp_gpe", flaky)
     deltas = [(-OMEGA_EFF + U0_SCALED * N_AT / 2) * W_R,
@@ -491,6 +491,24 @@ def test_diagram_partial_failure_persists_points(tmp_path, monkeypatch):
     out = str(tmp_path / "flaky-cli")
     assert cli.main(["diagram", "--config", cfg, "--out", out]) \
         == cli.EXIT_PARTIAL
+
+
+def test_diagram_points_ramp_to_their_caps(tmp_path, monkeypatch):
+    caps = []
+
+    def record(config, rundir):
+        caps.append(config.power_end)
+        raise RuntimeError("not run")
+
+    monkeypatch.setattr(sweeps, "_run_ramp_gpe", record)
+    deltas = [(-OMEGA_EFF + U0_SCALED * N_AT / 2) * W_R,
+              (-1.2 * OMEGA_EFF + U0_SCALED * N_AT / 2) * W_R]
+    cfg = write_ideal_config(tmp_path / "caps.cfg", extra={
+        **POWER_RAMP, "delta_c_list": ",".join(repr(v) for v in deltas),
+        "power_end_list": "7e-4,9e-4", "power_list": "5e-4"})
+    config = load_config(cfg)
+    run_phase_diagram(config, RunDir(str(tmp_path / "caps"), config))
+    assert caps == [7e-4, 9e-4]
 
 
 @pytest.mark.slow

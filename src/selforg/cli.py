@@ -4,6 +4,8 @@
                        [--workers N] [--override key=value ...]
 
 Subcommands: ramp, diagram, ensemble, boundary, dicke-ed, dicke-ode.
+dicke-ode is the ramp on the dicke-semiclassical engine: it runs and writes
+what `ramp --override engine=dicke-semiclassical` does.
 Exit codes: 0 success, 2 config error, 3 engine failure, 4 partial
 completion (some sweep points failed; completed points are persisted).
 Every failure exits 2, 3 or 4 without a traceback.  A config that does not
@@ -21,6 +23,8 @@ import sys
 from dataclasses import replace
 
 from .params import ParameterError
+# ode_trajectory_csv is unused here but traced on this module by
+# perfbench/layers.py
 from .sweeps import (ConfigError, EngineError, RunDir, default_config,
                      load_config, run_boundary, run_dicke_ed,
                      run_phase_diagram, run_ramp, run_symmetry_ensemble,
@@ -92,8 +96,6 @@ def main(argv=None):
             else:
                 print("no threshold detected")
         elif args.command == "diagram":
-            if not config.delta_c_list:
-                raise ConfigError("diagram runs need delta_c_list")
             rows, all_ok = run_phase_diagram(config, rundir,
                                              workers=args.workers)
             print(f"swept {len(config.delta_c_list)} detunings, "
@@ -117,9 +119,8 @@ def main(argv=None):
             rows = run_dicke_ed(config, rundir)
             print(f"diagonalized {len(rows)} couplings")
         elif args.command == "dicke-ode":
-            rec, _ = run_ramp(replace(config, engine="dicke-semiclassical"))
-            rundir.write("trajectory.csv", ode_trajectory_csv(rec))
-            rundir.stage_done("dicke-ode")
+            rec, _ = run_ramp(replace(config, engine="dicke-semiclassical"),
+                              rundir)
             print(f"integrated {len(rec['t'])} samples")
     except ConfigError as exc:
         print(f"selforg: config error: {exc}", file=sys.stderr)

@@ -2,11 +2,19 @@
 
 A run is described by a flat key = value config (SI units, same format as
 the parameter files; unknown keys are a hard error), executes one of the
-engines, and persists everything into one output directory:
+engines, and persists everything into one output directory, the RunDir
+every run_* function is given and writes into (RunDir.write is the one
+writer of its data files, save_field of the .fld snapshots):
 
-    config.resolved     exact config used, defaults expanded
-    manifest.json       package version, git hash, wall times
-    *.csv / *.fld       data files in the formats declared per engine
+    config.resolved     exact config used, defaults expanded (RunDir)
+    manifest.json       package version, git hash, wall times (RunDir)
+    run_ramp            trajectory.csv, threshold.json; on the gpe engine
+                        snapshot_NN.fld and snapshot_NN_peaks.csv
+    run_phase_diagram   points/point_NNNN.csv, sweep.csv; boundary.csv for
+                        a trapped, interacting cloud
+    run_symmetry_ensemble  ensemble.csv, ensemble_stats.json
+    run_dicke_ed        eigen.csv
+    run_boundary        boundary.csv
 
 Determinism contract: for a fixed (config, seed) the data files are
 byte-identical across runs on one platform.  Excluded by construction:
@@ -156,8 +164,9 @@ def resolve_config(mapping, seed=0):
     """Resolve a flat mapping of config text into a RunConfig.
 
     Unknown keys are rejected; every missing key takes its documented
-    default.  Step and member counts below 1 and time steps that are not
-    positive are rejected too.
+    default.  Step and member counts below 1, time steps and floor_factor
+    that are not positive, and trace fractions outside (0, 1] are rejected
+    too.
     """
     unknown = sorted(set(mapping) - _CONFIG_KEYS)
     if unknown:
@@ -176,9 +185,15 @@ def resolve_config(mapping, seed=0):
     for key in ("record_every", "consecutive", "n_seeds", "gs_max_steps"):
         if (value := getattr(config, key)) < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
-    for key, value in (("dtau", config.dtau), ("dt", config.dt)):
+    for key, value in (("dtau", config.dtau), ("dt", config.dt),
+                       ("floor_factor", config.floor_factor)):
         if not (value > 0 or key == "dt" and math.isnan(value)):  # NaN: auto
             raise ConfigError(f"{key} must be > 0, got {value!r}")
+    # a fraction of the trace: int((1 - f) * n) < 0 for f > 1 indexes from
+    # the end, and f = 0 leaves an empty window
+    for key in ("baseline_fraction", "final_window_fraction"):
+        if not 0 < (value := getattr(config, key)) <= 1:
+            raise ConfigError(f"{key} must be in (0, 1], got {value!r}")
     return config
 
 
@@ -409,20 +424,35 @@ def _engine_boundary(run):
 
 
 @_engine_boundary
-def run_ramp(config: RunConfig, rundir: RunDir = None):
-    """Pump ramp with threshold detection and optional field snapshots.
+def run_ramp(config: RunConfig, rundir: RunDir):
+    """Pump ramp with threshold detection, the one ramp pipeline of both
+    engines.
 
-    Engine per config: gpe (default) or dicke-semiclassical.  Returns the
-    trajectory record plus the threshold report; persists trajectory.csv,
-    threshold.json and snapshot files when a run directory is given.
+    Engine per config: gpe (default) or dicke-semiclassical (what `selforg
+    dicke-ode` runs).  Writes the engine's trajectory.csv, threshold.json
+    and, on gpe, a field file and a peak table per snapshot power, then
+    marks the "ramp" stage done.  Returns the trajectory record and the
+    threshold report.
     """
     if config.engine == "dicke-semiclassical":
-        return _run_ramp_ode(config, rundir)
-    if config.engine != "gpe":
+        rec, report = _run_ramp_ode(config)
+        rundir.write("trajectory.csv", ode_trajectory_csv(rec))
+    elif config.engine == "gpe":
+        _require_power_ramp(config, "snapshot_powers")
+        sim, rec, report = _run_ramp_gpe(config)
+        rundir.write("trajectory.csv", gpe_trajectory_csv(rec))
+        for i, (_, psi) in enumerate(rec["snapshots"]):
+            save_field(rundir.file(f"snapshot_{i:02d}.fld"), sim.grid, psi,
+                       config.params.atom_number)
+            rundir.write(f"snapshot_{i:02d}_peaks.csv",
+                         peaks_csv(sim.momentum_peaks(psi)))
+    else:
         raise ConfigError(f"ramp needs the gpe or dicke-semiclassical "
                           f"engine, not {config.engine!r}")
-    _require_power_ramp(config, "snapshot_powers")
-    return _run_ramp_gpe(config, rundir)
+    rundir.write("threshold.json",
+                 json.dumps(report, indent=2, sort_keys=True) + "\n")
+    rundir.stage_done("ramp")
+    return rec, report
 
 
 def _require_power_ramp(config, key):
@@ -432,7 +462,17 @@ def _require_power_ramp(config, key):
         raise ConfigError(f"{key} needs a power ramp; eta_end is set")
 
 
-def _run_ramp_gpe(config, rundir):
+def _threshold(config, trajectory):
+    """The config's threshold detector applied to a ramp's trajectory."""
+    return detect_threshold(trajectory,
+                            baseline_fraction=config.baseline_fraction,
+                            floor_factor=config.floor_factor,
+                            consecutive=config.consecutive)
+
+
+def _run_ramp_gpe(config):
+    """The gpe ramp from the start state; returns (sim, rec, report) and
+    writes nothing."""
     sim = build_sim(config)
     ramp, t_ramp = build_ramp(config)
     dt = _auto_dt(config)
@@ -450,28 +490,15 @@ def _run_ramp_gpe(config, rundir):
                                record_every=config.record_every,
                                edge_check_every=max(1, round(2.0 / dt)),
                                snapshot_times=snap_times or None)
-    report = detect_threshold(rec,
-                              baseline_fraction=config.baseline_fraction,
-                              floor_factor=config.floor_factor,
-                              consecutive=config.consecutive)
+    report = _threshold(config, rec)
     report["oscillation"] = oscillation_metric(
         rec, config.final_window_fraction)
-    if rundir is not None:
-        rundir.write("trajectory.csv", gpe_trajectory_csv(rec))
-        rundir.write("threshold.json",
-                     json.dumps(report, indent=2, sort_keys=True) + "\n")
-        for i, (t_snap, psi) in enumerate(rec["snapshots"]):
-            save_field(rundir.file(f"snapshot_{i:02d}.fld"), sim.grid, psi,
-                       config.params.atom_number)
-            rundir.write(f"snapshot_{i:02d}_peaks.csv",
-                         peaks_csv(sim.momentum_peaks(psi)))
-        rundir.stage_done("ramp")
-    return rec, report
+    return sim, rec, report
 
 
-def _run_ramp_ode(config, rundir):
+def _run_ramp_ode(config):
     """Coupling ramp 0 -> dicke_coupling over t_final, else ramp_time
-    (semiclassical).
+    (semiclassical); returns (rec, report) and writes nothing.
 
     Runs in recoil units like the gpe engine: dicke_* config keys are in
     units of omega_r and the trajectory time axis is in 1/omega_r.
@@ -492,17 +519,9 @@ def _run_ramp_ode(config, rundir):
     s0 = dicke.normal_state(noise=config.noise_amplitude, seed=config.seed)
     rec = dicke.integrate_semiclassical_ramp(
         s0, p, lam_of, t_final, record_every=config.record_every)
-    report = detect_threshold(
-        {"nphoton": rec["photon_frac"], "power": np.full_like(rec["t"],
-                                                              math.nan),
-         "eta": rec["coupling"]},
-        baseline_fraction=config.baseline_fraction,
-        floor_factor=config.floor_factor, consecutive=config.consecutive)
-    if rundir is not None:
-        rundir.write("trajectory.csv", ode_trajectory_csv(rec))
-        rundir.write("threshold.json",
-                     json.dumps(report, indent=2, sort_keys=True) + "\n")
-        rundir.stage_done("ramp")
+    report = _threshold(config, {
+        "nphoton": rec["photon_frac"],
+        "power": np.full_like(rec["t"], math.nan), "eta": rec["coupling"]})
     return rec, report
 
 
@@ -514,7 +533,7 @@ def _diagram_point(config, index, delta_c):
                                     pump_cavity_detuning=float(delta_c)))
     rows = []
     try:
-        rec, report = _run_ramp_gpe(config, None)
+        _, rec, report = _run_ramp_gpe(config)
         osc = report["oscillation"]
         frustrated = osc > config.oscillation_threshold
         p_cr = report["power"] if report["detected"] else math.nan
@@ -545,12 +564,13 @@ def run_phase_diagram(config: RunConfig, rundir: RunDir, workers=None):
     under points/; the merged sweep.csv is written in point order.  Returns
     (rows, all_ok)."""
     deltas = config.delta_c_list
+    if not deltas:
+        raise ConfigError("diagram runs need delta_c_list")
     caps = config.power_end_list
     if caps and len(caps) != len(deltas):
         raise ConfigError("power_end_list length must match delta_c_list")
     _require_power_ramp(config, "power_list")
-    points_dir = rundir.file("points")
-    os.makedirs(points_dir, exist_ok=True)
+    os.makedirs(rundir.file("points"), exist_ok=True)
 
     # analytic overlay (cheap, done first so it survives any interruption)
     if config.trap and config.params.scattering_length > 0:
@@ -565,8 +585,8 @@ def run_phase_diagram(config: RunConfig, rundir: RunDir, workers=None):
     for index, rows, ok in _map_points(_diagram_point, jobs, workers):
         merged.extend(rows)
         all_ok &= ok
-        _atomic_write(os.path.join(points_dir, f"point_{index:04d}.csv"),
-                      csv_table(SWEEP_HEADER, rows))
+        rundir.write(f"points/point_{index:04d}.csv",
+                     csv_table(SWEEP_HEADER, rows))
     rundir.write("sweep.csv", csv_table(SWEEP_HEADER, merged))
     rundir.stage_done("sweep")
     return merged, all_ok
@@ -652,7 +672,7 @@ def binomial_pvalue(k, n):
 
 
 @_engine_boundary
-def run_symmetry_ensemble(config: RunConfig, rundir: RunDir = None,
+def run_symmetry_ensemble(config: RunConfig, rundir: RunDir,
                           workers=None, mirrored_pairs=False):
     """Relax n_seeds noise realizations above threshold; tabulate sign(Theta).
 
@@ -689,17 +709,16 @@ def run_symmetry_ensemble(config: RunConfig, rundir: RunDir = None,
         "mean_abs_theta_minus": float(np.mean([abs(r[2]) for r in base
                                                if r[1] < 0])) if n_minus else math.nan,
     }
-    if rundir is not None:
-        rundir.write("ensemble.csv",
-                     csv_table(ENSEMBLE_HEADER + ",mirrored", ordered))
-        rundir.write("ensemble_stats.json",
-                     json.dumps(stats, indent=2, sort_keys=True) + "\n")
-        rundir.stage_done("ensemble")
+    rundir.write("ensemble.csv",
+                 csv_table(ENSEMBLE_HEADER + ",mirrored", ordered))
+    rundir.write("ensemble_stats.json",
+                 json.dumps(stats, indent=2, sort_keys=True) + "\n")
+    rundir.stage_done("ensemble")
     return ordered, stats
 
 
 @_engine_boundary
-def run_dicke_ed(config: RunConfig, rundir: RunDir = None):
+def run_dicke_ed(config: RunConfig, rundir: RunDir):
     """Exact-diagonalization coupling sweep; observables CSV per coupling.
 
     Couplings and the gap are in units of omega_r (the closed two-mode model
@@ -716,19 +735,17 @@ def run_dicke_ed(config: RunConfig, rundir: RunDir = None):
             p, n_max_start=config.dicke_n_max)
         rows.append((lam, obs["photon_fraction"], obs["inversion"],
                      obs["order"], obs["gap"]))
-    if rundir is not None:
-        rundir.write("eigen.csv", csv_table(ED_HEADER, rows))
-        rundir.stage_done("dicke-ed")
+    rundir.write("eigen.csv", csv_table(ED_HEADER, rows))
+    rundir.stage_done("dicke-ed")
     return rows
 
 
 @_engine_boundary
-def run_boundary(config: RunConfig, rundir: RunDir = None):
+def run_boundary(config: RunConfig, rundir: RunDir):
     deltas = config.delta_c_list
     if not deltas:
         raise ConfigError("boundary runs need delta_c_list")
     curve = boundary_curve(deltas, config.params)
-    if rundir is not None:
-        rundir.write("boundary.csv", boundary_table_csv(curve))
-        rundir.stage_done("boundary")
+    rundir.write("boundary.csv", boundary_table_csv(curve))
+    rundir.stage_done("boundary")
     return curve

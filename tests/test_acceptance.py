@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  The heavy dynamical criteria (6, 7, 9) are also
+lines as they complete.  The heavy dynamical criteria (6 to 10) are also
 marked slow; the full suite takes some minutes on two cores.
 """
 
@@ -268,8 +268,9 @@ def test_criterion_07_symmetry_breaking_ensemble(tmp_path):
         / stats["mean_abs_theta_plus"]
     # mirrored noise must flip the sign exactly (small paired batch)
     config_m = resolve_config({**mapping, "n_seeds": "5"}, seed=20)
-    rows_m, _ = sweeps.run_symmetry_ensemble(config_m, None, workers=2,
-                                             mirrored_pairs=True)
+    rows_m, _ = sweeps.run_symmetry_ensemble(
+        config_m, RunDir(str(tmp_path / "mirror"), config_m), workers=2,
+        mirrored_pairs=True)
     base = [r for r in rows_m if not r[5]]
     mirror = [r for r in rows_m if r[5]]
     flips = all(b[1] == -m[1] for b, m in zip(base, mirror))
@@ -280,6 +281,7 @@ def test_criterion_07_symmetry_breaking_ensemble(tmp_path):
            f"mirror flips exact: {flips}")
 
 
+@pytest.mark.slow
 def test_criterion_08_momentum_signatures():
     # below threshold in a 7 E_r pump lattice: (0, +-2hk) doublet, no
     # checkerboard peaks above 1e-6 relative; above threshold all four
@@ -342,6 +344,7 @@ def test_criterion_09_frustrated_regime():
            ok, f"metric frustrated = {frustrated:.2f}, normal = {normal:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_10_conservation_and_determinism(tmp_path):
     # norm drift per step, imaginary-time energy monotonicity, and
     # byte-identical reruns of a full ramp for a fixed (config, seed)

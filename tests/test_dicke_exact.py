@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from selforg import dicke
@@ -152,11 +153,20 @@ def test_sparse_eigensolver_matches_dense(monkeypatch):
     assert ground_state_observables(p, 30) == sparse_obs     # deterministic
 
 
-def test_sparse_eigensolver_above_dense_cap():
-    # dimension 66 * 61 = 4026 > 4000 takes the sparse path unpatched
-    p = DickeParams(omega=1.0, omega0=1.0, coupling=0.3, n_atoms=65)
-    assert (p.n_atoms + 1) * 61 > dicke._DENSE_CAP
+def test_sparse_eigensolver_above_dense_cap(monkeypatch):
+    # parity blocks of 21 * 61 / 2 = 640 and 641 > _DENSE_CAP take the
+    # sparse path unpatched
+    p = DickeParams(omega=1.0, omega0=1.0, coupling=0.3, n_atoms=20)
+    assert (p.n_atoms + 1) * 61 // 2 > dicke._DENSE_CAP
+    real, calls = spla.eigsh, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
     obs = ground_state_observables(p, 60)
+    assert sorted(calls) == [(640, 640), (641, 641)]
     assert obs["gap"] > 0
     assert 0 < obs["photon_fraction"] < 0.05
     assert obs["inversion"] == pytest.approx(-0.5, abs=0.05)

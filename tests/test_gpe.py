@@ -218,6 +218,7 @@ def test_overlap_integrals_2d():
 # real-time propagation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_free_trapped_evolution_conserves_norm_and_energy():
     # eta = 0, 10 ms equivalent; norm and energy to 1e-8 (renormalization off)
     sim = trapped_sim()
@@ -336,6 +337,7 @@ def test_real_time_second_order_on_ideal_bed():
     assert np.allclose(diffs[:-1] / diffs[1:], 4.0, atol=0.2)
 
 
+@pytest.mark.slow
 def test_real_time_second_order_trapped_with_collisions():
     # trapped 128^2 cloud with envelopes, g2d != 0 and a power ramp
     # 0 -> 2 mW over 2 recoil times: the relative L2 error of the final

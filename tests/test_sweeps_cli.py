@@ -79,12 +79,15 @@ def _field_values(f):
     """Every value of a run key's type that a config file can hold."""
     if f.name == "engine":
         return st.sampled_from(sweeps.ENGINES)
-    # resolve_config rejects counts below 1 and time steps that are not > 0
+    # resolve_config rejects counts below 1, time steps and floor_factor
+    # that are not > 0, and trace fractions outside (0, 1]
     if f.name in ("record_every", "consecutive", "n_seeds", "gs_max_steps"):
         return st.integers(min_value=1)
-    if f.name in ("dt", "dtau"):
+    if f.name in ("dt", "dtau", "floor_factor"):
         positive = st.floats(min_value=0.0, exclude_min=True)
         return positive | st.just(math.nan) if f.name == "dt" else positive
+    if f.name in ("baseline_fraction", "final_window_fraction"):
+        return st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
     if f.type is str:       # one token: no '#', line break or blank
         return st.from_regex(r"[A-Za-z0-9_.+-]+", fullmatch=True)
     if f.type is bool:
@@ -314,7 +317,7 @@ def test_ramp_edge_guard_checks_every_two_recoil_times(tmp_path,
     monkeypatch.setattr(sweeps.CondensateSim, "real_time_evolve", spy)
     config = load_config(write_ideal_config(tmp_path / "ramp.cfg"), seed=1)
     config = replace(config, ramp_time=0.02 / W_R, dt=dt / W_R)
-    run_ramp(config)
+    run_ramp(config, RunDir(str(tmp_path / "ramp"), config))
     assert seen == [every]
 
 
@@ -392,11 +395,54 @@ def test_cli_exit_codes(tmp_path, capsys):
             assert "engine=dicke-semiclassical" in err
 
 
+def test_every_subcommand_writes_its_files(tmp_path):
+    # the persistence contract on tiny inputs: each run directory holds the
+    # config echo, the manifest and exactly its subcommand's data files
+    ideal = ["--config", write_ideal_config(tmp_path / "ideal.cfg", extra={
+        **ENSEMBLE_KEYS, **POWER_RAMP, "n_seeds": "1",
+        "ramp_time": repr(2.0 / W_R), "power_list": "5e-4",
+        "delta_c_list": IDEAL_KEYS["pump_cavity_detuning"]})]
+    ode = ["--override", "dicke_omega0=1", "--override", "dicke_coupling=1.2",
+           "--override", "t_final=" + repr(50.0 / W_R)]
+    ramp_files = {"trajectory.csv", "threshold.json"}
+    runs = [
+        ("ramp", ["ramp"] + ideal, ramp_files),
+        ("dicke-ode", ["dicke-ode"] + ode, ramp_files),
+        ("ramp-ode", ["ramp", "--override", "engine=dicke-semiclassical"]
+         + ode, ramp_files),
+        ("dicke-ed", ["dicke-ed", "--override", "dicke_n_atoms=2",
+                      "--override", "dicke_n_max=10",
+                      "--override", "lambda_list=0.5,1.5"], {"eigen.csv"}),
+        ("boundary", ["boundary", "--override", "delta_c_list=-1e8,-5e7"],
+         {"boundary.csv"}),
+        ("ensemble", ["ensemble"] + ideal,
+         {"ensemble.csv", "ensemble_stats.json"}),
+        ("diagram", ["diagram"] + ideal, {"sweep.csv", "points"}),
+    ]
+    for name, argv, data in runs:
+        out = tmp_path / name
+        code = cli.main(argv + ["--out", str(out), "--seed", "3",
+                                "--workers", "1"])
+        assert code == cli.EXIT_OK, name
+        assert set(os.listdir(out)) == \
+            {"config.resolved", "manifest.json"} | data, name
+    assert os.listdir(tmp_path / "diagram" / "points") == ["point_0000.csv"]
+    # dicke-ode is the ramp on the dicke-semiclassical engine
+    for name in ("trajectory.csv", "threshold.json"):
+        assert (tmp_path / "dicke-ode" / name).read_bytes() \
+            == (tmp_path / "ramp-ode" / name).read_bytes()
+
+
 @pytest.mark.parametrize("command, override", [
     ("ramp", "record_every=0"), ("ramp", "record_every=-1"),
     ("ramp", "consecutive=0"), ("ensemble", "n_seeds=0"),
     ("ensemble", "gs_max_steps=0"), ("ensemble", "dtau=0"),
-    ("ensemble", "dtau=-2e-3"), ("ramp", "dt=0"), ("ramp", "dt=-1e-9")])
+    ("ensemble", "dtau=-2e-3"), ("ramp", "dt=0"), ("ramp", "dt=-1e-9"),
+    ("ramp", "baseline_fraction=0"), ("ramp", "baseline_fraction=1.5"),
+    ("ramp", "final_window_fraction=0"),
+    ("ramp", "final_window_fraction=1.5"),
+    ("ramp", "final_window_fraction=nan"), ("ramp", "floor_factor=0"),
+    ("ramp", "floor_factor=-10"), ("ramp", "floor_factor=nan")])
 def test_out_of_range_counts_and_steps_are_config_errors(tmp_path, capsys,
                                                          command, override):
     cfg = write_ideal_config(tmp_path / "c.cfg", extra=ENSEMBLE_KEYS)
@@ -463,11 +509,11 @@ def test_diagram_partial_failure_persists_points(tmp_path, monkeypatch):
     real = sweeps._run_ramp_gpe
     calls = {"n": 0}
 
-    def flaky(config, rundir):
+    def flaky(config):
         calls["n"] += 1
         if calls["n"] == 2:
             raise RuntimeError("injected failure")
-        return real(config, rundir)
+        return real(config)
 
     monkeypatch.setattr(sweeps, "_run_ramp_gpe", flaky)
     deltas = [(-OMEGA_EFF + U0_SCALED * N_AT / 2) * W_R,
@@ -496,7 +542,7 @@ def test_diagram_partial_failure_persists_points(tmp_path, monkeypatch):
 def test_diagram_points_ramp_to_their_caps(tmp_path, monkeypatch):
     caps = []
 
-    def record(config, rundir):
+    def record(config):
         caps.append(config.power_end)
         raise RuntimeError("not run")
 

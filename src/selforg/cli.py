@@ -82,8 +82,11 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         config = _load(args)
+        if args.command == "dicke-ode":
+            # the echo names the engine that runs, so it reloads as this run
+            config = replace(config, engine="dicke-semiclassical")
         rundir = RunDir(args.out, config, command=" ".join(
-            [args.command] + (argv if argv is not None else sys.argv[1:])))
+            argv if argv is not None else sys.argv[1:]))
     except (ConfigError, ParameterError, OSError) as exc:
         print(f"selforg: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -119,8 +122,7 @@ def main(argv=None):
             rows = run_dicke_ed(config, rundir)
             print(f"diagonalized {len(rows)} couplings")
         elif args.command == "dicke-ode":
-            rec, _ = run_ramp(replace(config, engine="dicke-semiclassical"),
-                              rundir)
+            rec, _ = run_ramp(config, rundir)
             print(f"integrated {len(rec['t'])} samples")
     except ConfigError as exc:
         print(f"selforg: config error: {exc}", file=sys.stderr)

@@ -17,15 +17,22 @@ where phi_c and phi_p are params.mode_profiles in the y = 0 plane (pure
 cosines without envelopes) and the trap is params.harmonic_trap there.
 
 Propagation is Strang split-step V(dt/2) K(dt) V(dt/2): an exact
-potential half-step, the exact spectral kinetic factor (one fft2, one
-ifft2) and a second potential half-step.  A potential half-step keeps the
-density pointwise, so in real time it is exact with alpha and g2d|psi|^2
-taken from the field it acts on, and the step is second order in dt for
-this density-dependent, nonlocal potential (Lubich, Math. Comp. 77, 2141
-(2008)).  One loop runs both real and imaginary time (ground states, with
-the field renormalized to the atom number after every step).  It builds
-the kinetic factor once per propagation and computes one alpha and one
-exponential per step.
+potential half-step, the exact spectral kinetic factor (one forward and
+one inverse FFT) and a second potential half-step.  A potential half-step
+keeps the density pointwise, so in real time it is exact with alpha and
+g2d|psi|^2 taken from the field it acts on, and the step is second order
+in dt for this density-dependent, nonlocal potential (Lubich, Math. Comp.
+77, 2141 (2008)).  One loop runs both real and imaginary time (ground
+states, with the field renormalized to the atom number after every step).
+It builds the kinetic factor once per propagation and computes one alpha
+and one exponential per step.
+
+The dtype rule: the potential is real, so imaginary time maps real fields
+to real fields.  initial_state returns a real field, ground_states keeps
+the dtype it is given, and a real field relaxes on float64 with the real
+FFT pair (rfft2/irfft2, the kinetic factor on the half spectrum); a
+complex field relaxes on complex128 with fft2/ifft2.  real_time_evolve
+casts its start to complex.
 
 Every field helper and the loop also take a stack of fields of shape
 (B, nx, nz): they reduce over the last two axes and carry alpha, Theta and
@@ -70,6 +77,7 @@ sfft = _LazyFFT()
 _CHECK_EVERY = 10       # imaginary-time steps between convergence checks
 _WINDOW = 30            # checks in the sliding convergence window
 _COARSE_DTAU = 1.6e-2   # cap on the coarse relaxation stage's step
+_SEED_MOMENTUM = 2.0    # highest |p| of the start noise, in hbar k
 
 
 def _field_axes(value):
@@ -132,10 +140,13 @@ class CondensateSim:
             params, cavity_waist=math.inf, pump_waist_x=math.inf,
             pump_waist_y=math.inf)
         prof_c, prof_p = mode_profiles(modes, x, 0.0, z)
-        self.prof_cc = prof_c * prof_p
-        self.prof_c2 = prof_c**2
-        self.prof_p2 = prof_p**2
-        self.v_trap = harmonic_trap(params, x, 0.0, z) if trap else 0.0
+        # the potential's profiles as one stack, the lattice first and the
+        # trap last (see potential); prof_* and v_trap are its rows
+        self._profiles = np.stack(
+            [prof_p**2, prof_c**2, prof_c * prof_p]
+            + ([harmonic_trap(params, x, 0.0, z)] if trap else []))
+        self.prof_p2, self.prof_c2, self.prof_cc = self._profiles[:3]
+        self.v_trap = self._profiles[3] if trap else 0.0
         self.ksq = grid.ksq()
         self.g2d = self._reduce_interaction(sigma_y_mode, sigma_y)
 
@@ -168,11 +179,16 @@ class CondensateSim:
         s = f.sum(axis=(-2, -1)) * self.grid.cell_area
         return float(s) if np.ndim(s) == 0 else s
 
+    @staticmethod
+    def _density(psi):
+        """|psi|^2, as psi*psi for a real field (the same numbers)."""
+        return psi * psi if np.isrealobj(psi) else np.abs(psi) ** 2
+
     def norm(self, psi):
-        return self._integral(np.abs(psi) ** 2)
+        return self._integral(self._density(psi))
 
     def order_parameters(self, psi) -> OrderParameters:
-        dens = np.abs(psi) ** 2
+        dens = self._density(psi)
         return OrderParameters(theta=self._integral(self.prof_cc * dens),
                                bunching=self._integral(self.prof_c2 * dens))
 
@@ -187,36 +203,65 @@ class CondensateSim:
             return 0.0
         return eta**2 / self.u0
 
-    def potential(self, eta, alpha):
+    def potential(self, eta, alpha, profiles=None):
         """Dynamic potential grid in E_r (without the collisional term); a
-        stack of grids for an array of per-member alphas."""
+        stack of grids for an array of per-member alphas.
+
+        One pass over the grid sums coefficient times profile in the
+        order (((v0 phi_p^2 + c2 phi_c^2) + cc phi_c phi_p) + trap),
+        leaving out the lattice term where v0 = 0.  ``profiles``, the
+        profile stack times a factor, gives that factor times the
+        potential.
+        """
         c2 = self.u0 * (alpha.real * alpha.real + alpha.imag * alpha.imag)
         cc = 2.0 * eta * alpha.real
-        v = self.pump_depth_of(eta) * self.prof_p2 \
-            + _field_axes(c2) * self.prof_c2 + _field_axes(cc) * self.prof_cc
+        coeffs = [c2, cc]
+        if v0 := self.pump_depth_of(eta):
+            coeffs.insert(0, np.full_like(c2, v0))
         if self.trap:
-            v = v + self.v_trap
-        return v
+            coeffs.append(np.ones_like(c2))
+        profiles = self._profiles if profiles is None else profiles
+        first = 0 if v0 else 1
+        return np.einsum("k...,kij->...ij", coeffs,
+                         profiles[first:first + len(coeffs)])
 
     def energy(self, psi, eta, alpha=None):
         """Mean-field energy per the instantaneous cavity amplitude, in E_r.
 
         The cavity terms enter at full weight, as integral V(alpha)|psi|^2,
         though alpha is itself linear in the density; so in the organized
-        phase this is not the quantity that imaginary time lowers.
+        phase this is not the quantity that imaginary time lowers.  A real
+        field's kinetic term comes from its half spectrum (rfft2).
         """
         if alpha is None:
             alpha, _ = self.alpha_of(psi, eta)
-        ft = sfft.fft2(psi)
-        kin = self._integral(self.ksq * np.abs(ft) ** 2) \
+        if np.isrealobj(psi):
+            ft = sfft.rfft2(psi)
+            ksq = self._ksq_half_weighted
+        else:
+            ft = sfft.fft2(psi)
+            ksq = self.ksq
+        kin = self._integral(ksq * self._density(ft)) \
             / (self.grid.points_x * self.grid.points_z)
-        dens = np.abs(psi) ** 2
+        dens = self._density(psi)
         pot = self._integral(self.potential(eta, alpha) * dens)
         inter = 0.5 * self.g2d * self._integral(dens**2)
         return kin + pot + inter
 
+    @functools.cached_property
+    def _ksq_half_weighted(self):
+        """k^2 on rfft2's half spectrum, each column weighted by the number
+        of full-spectrum columns it stands for (1 for k_z = 0 and, for
+        even nz, the Nyquist column; 2 for the others)."""
+        nz = self.grid.points_z
+        weight = np.full(nz // 2 + 1, 2.0)
+        weight[0] = 1.0
+        if nz % 2 == 0:
+            weight[-1] = 1.0
+        return self.ksq[:, :nz // 2 + 1] * weight
+
     def edge_density_fraction(self, psi):
-        dens = np.abs(psi) ** 2
+        dens = self._density(psi)
         edge = max(dens[0, :].max(), dens[-1, :].max(),
                    dens[:, 0].max(), dens[:, -1].max())
         return edge / dens.max()
@@ -230,20 +275,29 @@ class CondensateSim:
     # -- initial states ---------------------------------------------------
 
     def initial_state(self, seed=None, noise=0.0):
-        """Normalized starting field: homogeneous without a trap, a wide
-        Gaussian inside one, plus optional multiplicative complex noise."""
+        """Normalized real starting field envelope * (1 + noise * xi).
+
+        The envelope is homogeneous without a trap and a wide Gaussian
+        inside one.  xi is real white noise from ``seed``, band-limited to
+        momenta |p| <= 2 hbar k (which keeps the (+-1, +-1) checkerboard
+        modes that the instability grows from, and no fast atoms that
+        would fly to the grid edge) and scaled to unit rms, so ``noise``
+        is the rms relative amplitude.
+        """
         g = self.grid
         if self.trap:
             k = self.derived.wavenumber
             sx = max(0.5 * k * self.cloud.radius_x, 2.0)
             sz = max(0.5 * k * self.cloud.radius_z, 2.0)
-            psi = np.exp(-(g.x() / sx) ** 2 - (g.z() / sz) ** 2).astype(complex)
+            psi = np.exp(-(g.x() / sx) ** 2 - (g.z() / sz) ** 2)
         else:
-            psi = np.ones((g.points_x, g.points_z), dtype=complex)
+            psi = np.ones((g.points_x, g.points_z))
         if noise:
-            rng = np.random.default_rng(seed)
-            psi = psi * (1.0 + noise * (rng.standard_normal(psi.shape)
-                                        + 1j * rng.standard_normal(psi.shape)))
+            white = np.random.default_rng(seed).standard_normal(psi.shape)
+            low = self.ksq[:, :g.points_z // 2 + 1] \
+                <= _SEED_MOMENTUM**2 + 1e-9
+            xi = sfft.irfft2(sfft.rfft2(white) * low, s=psi.shape)
+            psi = psi * (1.0 + noise / math.sqrt(np.mean(xi * xi)) * xi)
         return self.renormalize(psi)
 
     def renormalize(self, psi):
@@ -253,60 +307,104 @@ class CondensateSim:
     # -- propagation ------------------------------------------------------
 
     def _half_potential(self, psi, eta, alpha, half_dt, out):
-        """The potential half-step factor into ``out``: exp(-V dt/2) for a
-        real ``out`` (imaginary time), exp(-i V dt/2) for a complex one,
-        with V = potential(eta, alpha) plus the collisional term of psi's
-        density."""
+        """The real-time half-step factor exp(-i V dt/2) into the complex
+        ``out``, with V = potential(eta, alpha) plus the collisional term
+        of psi's density."""
         v = self.potential(eta, alpha)
         if self.g2d:
             v += self.g2d * np.abs(psi) ** 2
         v *= -half_dt
-        if np.isrealobj(out):
-            return np.exp(v, out=out)
         np.cos(v, out=out.real)
         np.sin(v, out=out.imag)
         return out
 
+    def _imaginary_half_potential(self, phi, eta, profiles, g2d_scaled):
+        """Renormalize phi in place to the atom number; return its alpha
+        and op and the half-step factor exp(-V dt/2), all from phi's one
+        density before renormalizing (the norm, Theta and B of the
+        renormalized field are s^2 = N/norm times phi's).  ``profiles``
+        and g2d_scaled are the potential's profiles and g2d times -dt/2."""
+        dens = self._density(phi)
+        norm, theta, bunching = self.grid.cell_area * np.einsum(
+            "...ij,kij->k...", dens, self._moment_profiles)
+        s2 = self.n_atoms / norm
+        phi *= _field_axes(np.sqrt(s2))
+        op = OrderParameters(theta=s2 * theta, bunching=s2 * bunching)
+        alpha = cavity_amplitude(op.theta, op.bunching, eta, self.delta_c,
+                                 self.u0, self.kappa)
+        v = self.potential(eta, alpha, profiles)
+        if g2d_scaled:
+            dens *= _field_axes(g2d_scaled * s2)
+            v += dens
+        return alpha, op, np.exp(v, out=v)
+
+    @functools.cached_property
+    def _moment_profiles(self):
+        """(1, phi_c phi_p, phi_c^2): the weights of the norm, Theta and B,
+        to take all three in one reduction."""
+        return np.stack([np.ones_like(self.prof_cc), self.prof_cc,
+                         self.prof_c2])
+
     def _strang_steps(self, psi, ramp, dt, n_steps, imaginary):
         """Yield (psi, power, eta, alpha, op) at t = i*dt for i = 0..n_steps,
-        where alpha and op belong to that psi.
+        where alpha and op belong to that psi (exactly at i = 0; to
+        rounding in imaginary time, where they come from the field before
+        renormalizing).
 
         psi is one field (nx, nz) or a stack (B, nx, nz) of members that
         share the schedule; for a stack, alpha and op hold one value per
-        member, and the step acts on each member's slice alone.
+        member, and the step acts on each member's slice alone.  A real
+        psi (imaginary time only) steps with rfft2/irfft2 and the kinetic
+        factor on the half spectrum, a complex one with fft2/ifft2.
 
-        A step is V(dt/2) K(dt) V(dt/2): one fft2 and one ifft2 around the
-        exact kinetic factor, between two multiplications by the same kind
-        of half-potential factor h = exp(-unit*V*dt/2).  In real time the
-        potential half-step keeps |psi|^2 pointwise, so it is exact with V
-        taken from the density it acts on: the second half of step i takes
-        alpha, g2d|psi|^2 and eta(t_{i+1}) from the post-kinetic field, and
-        that factor is also the first half of step i+1.  Each step computes
-        one alpha and one exponential, and the splitting is second order in
-        dt (Lubich, Math. Comp. 77, 2141 (2008)).  In imaginary time the
-        step applies the factor of its starting field twice and then
-        renormalizes to the atom number, a symmetric step whose fixed
-        point is O(dt^2) from the ground state.
+        A step is V(dt/2) K(dt) V(dt/2): one forward and one inverse FFT
+        around the exact kinetic factor, between two multiplications by
+        the same kind of half-potential factor h = exp(-unit*V*dt/2).  In
+        real time the potential half-step keeps |psi|^2 pointwise, so it is
+        exact with V taken from the density it acts on: the second half of
+        step i takes alpha, g2d|psi|^2 and eta(t_{i+1}) from the
+        post-kinetic field, and that factor is also the first half of step
+        i+1.  Each step computes one alpha and one exponential, and the
+        splitting is second order in dt (Lubich, Math. Comp. 77, 2141
+        (2008)).  In imaginary time the step applies the factor of its
+        starting field twice and then renormalizes to the atom number, a
+        symmetric step whose fixed point is O(dt^2) from the ground state;
+        the step takes one density, for the norm, alpha and h alike.
         """
         unit = 1.0 if imaginary else 1j     # exp(-unit * dt * H)
-        exp_k = np.exp(-unit * dt * self.ksq)
+        if np.isrealobj(psi):
+            shape = psi.shape[-2:]
+            exp_k = np.exp(-dt * self.ksq[:, :shape[1] // 2 + 1])
+            fft = sfft.rfft2
+            ifft = functools.partial(sfft.irfft2, s=shape)
+        else:
+            exp_k = np.exp(-unit * dt * self.ksq)
+            fft, ifft = sfft.fft2, sfft.ifft2
         power, eta = ramp(0.0)
         alpha, op = self.alpha_of(psi, eta)
-        h = self._half_potential(psi, eta, alpha, dt / 2,
-                                 np.empty(psi.shape, type(unit)))
+        if imaginary:
+            profiles = -dt / 2 * self._profiles
+            g2d_scaled = -dt / 2 * self.g2d
+            h = np.exp(-dt / 2 * (self.potential(eta, alpha)
+                                  + self.g2d * self._density(psi)))
+        else:
+            h = self._half_potential(psi, eta, alpha, dt / 2,
+                                     np.empty(psi.shape, complex))
         for i in range(n_steps + 1):
             yield psi, power, eta, alpha, op
             if i == n_steps:
                 return
-            phi = sfft.fft2(h * psi, overwrite_x=True)
+            phi = fft(h * psi, overwrite_x=True)
             phi *= exp_k
-            phi = sfft.ifft2(phi, overwrite_x=True)
-            if imaginary:
-                phi = self.renormalize(h * phi)
+            phi = ifft(phi, overwrite_x=True)
             power, eta = ramp((i + 1) * dt)
-            alpha, op = self.alpha_of(phi, eta)
-            self._half_potential(phi, eta, alpha, dt / 2, out=h)
-            if not imaginary:
+            if imaginary:
+                phi *= h
+                alpha, op, h = self._imaginary_half_potential(
+                    phi, eta, profiles, g2d_scaled)
+            else:
+                alpha, op = self.alpha_of(phi, eta)
+                self._half_potential(phi, eta, alpha, dt / 2, out=h)
                 phi *= h
             psi = phi
 
@@ -320,7 +418,8 @@ class CondensateSim:
         initial_state(seed, noise): coarse stages at dtau_c =
         min(8*dtau, 1.6e-2) and dtau_c/2, then a stage at dtau from their
         Richardson extrapolation (see ground_states).  Returns a dict with
-        psi, alpha, theta, bunching, energy, the step count of all stages
+        psi (real for a real start, such as initial_state's), alpha,
+        theta, bunching, energy, the step count of all stages
         (``steps``) and the energy trace of the dtau stage
         (``energy_trace``); max_steps bounds all stages together.  Raises
         ConvergenceError (with the recent theta trace attached) if
@@ -335,6 +434,11 @@ class CondensateSim:
                       tol_theta=1e-8, max_steps=200_000):
         """Relax a stack psi0s (B, nx, nz) of start fields at fixed pump
         strength; returns one imaginary_time_ground_state dict per member.
+
+        The stack keeps its dtype: real starts relax on float64 with the
+        real FFT pair, complex ones on complex128 (see the module
+        docstring).  A member's alpha, theta, bunching and energy are
+        those of its returned field, computed once it has settled.
 
         The split step's fixed point is O(dtau^2) from the ground state
         (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)).  So each member,
@@ -360,7 +464,7 @@ class CondensateSim:
         its ``members``) that did not converge within max_steps, with the
         first one's recent theta trace attached.
         """
-        psi = np.array(psi0s, dtype=complex)
+        psi = np.asarray(psi0s)
         if psi.ndim != 3:
             raise ValueError("psi0s must be a stack of fields (B, nx, nz)")
         psi = self.renormalize(psi)
@@ -433,11 +537,14 @@ class CondensateSim:
                        & (np.ptp(e_win, axis=0) < tol_e)
                        & (np.ptp(th_win, axis=0) < tol_th) & ~growing)
             for m in np.flatnonzero(settled):
+                # the member's observables exactly of its returned field
+                gs_psi = psi[m].copy()
+                gs_alpha, gs_op = self.alpha_of(gs_psi, eta)
                 found[m] = {
-                    "psi": psi[m].copy(), "alpha": alpha[m].item(),
-                    "theta": op.theta[m].item(),
-                    "bunching": op.bunching[m].item(),
-                    "energy": energies[-1][m].item(), "steps": step,
+                    "psi": gs_psi, "alpha": gs_alpha, "theta": gs_op.theta,
+                    "bunching": gs_op.bunching,
+                    "energy": self.energy(gs_psi, eta, gs_alpha),
+                    "steps": step,
                     "energy_trace": np.array(energies)[:, m].copy()}
             checking &= ~settled & (step + _CHECK_EVERY <= budgets)
             if not checking.any():

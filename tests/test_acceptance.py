@@ -188,7 +188,7 @@ def test_criterion_05_semiclassical_threshold_grid():
 
 def _ramp_point(psi_bytes, shape, delta_c_scaled, p_end, seed, t_ramp, dt):
     sim = trapped_sim(delta_c_scaled, n=shape[0], boxes=16)
-    psi0 = np.frombuffer(psi_bytes, dtype=np.complex128).reshape(shape).copy()
+    psi0 = np.frombuffer(psi_bytes, dtype=np.float64).reshape(shape).copy()
     rng = np.random.default_rng(seed)
     psi0 = psi0 * (1.0 + 1e-5 * (rng.standard_normal(shape)
                                  + 1j * rng.standard_normal(shape)))
@@ -314,7 +314,7 @@ def test_criterion_08_momentum_signatures():
 
 def _frustration_point(delta_c, p_end, psi_bytes, shape):
     sim = trapped_sim(delta_c)
-    psi0 = np.frombuffer(psi_bytes, dtype=np.complex128).reshape(shape).copy()
+    psi0 = np.frombuffer(psi_bytes, dtype=np.float64).reshape(shape).copy()
     rng = np.random.default_rng(77)
     psi0 = psi0 * (1.0 + 1e-5 * (rng.standard_normal(shape)
                                  + 1j * rng.standard_normal(shape)))

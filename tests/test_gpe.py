@@ -380,11 +380,12 @@ class CountingFFT:
 @pytest.mark.parametrize("make_sim", [ideal_sim, trapped_sim])
 def test_two_ffts_per_real_time_step(monkeypatch, make_sim):
     sim = make_sim()
+    # the start's band-limiting FFTs are not steps: built before the spy
+    psi0 = sim.initial_state(seed=1, noise=1e-2)
     fft = CountingFFT()
     monkeypatch.setattr(gpe, "sfft", fft)
     ramp = EtaRamp([(0.0, 0.0), (0.1, eta_of(1.5))])
-    sim.real_time_evolve(sim.initial_state(seed=1, noise=1e-2), ramp,
-                         25 * 4e-3, 4e-3)
+    sim.real_time_evolve(psi0, ramp, 25 * 4e-3, 4e-3)
     assert fft.calls == {"fft2": 25, "ifft2": 25}
 
 
@@ -538,15 +539,70 @@ def test_unconverged_members_are_named():
     assert len(info.value.theta_trace) == 5
     with pytest.raises(ConvergenceError, match="after 50 steps: member 0$"):
         sim.imaginary_time_ground_state(eta_of(1.3), seed=1, max_steps=50)
-    # alone, these members settle in 3,500 and 3,510 steps: in one stack
-    # under a 3,505-step budget only the second is named
+    # alone, these members settle in 3,460 and 3,470 steps: in one stack
+    # under a 3,465-step budget only the second is named
     psi0s = [sim.initial_state(seed=1, noise=1e-2),
              sim.initial_state(seed=2, noise=1e-3)]
     with pytest.raises(ConvergenceError,
-                       match="3505 steps: member 1$") as info:
-        sim.ground_states(eta_of(1.3), psi0s, max_steps=3505)
+                       match="3465 steps: member 1$") as info:
+        sim.ground_states(eta_of(1.3), psi0s, max_steps=3465)
     assert info.value.members == [1]
     assert len(info.value.theta_trace) == 143
+
+
+def test_initial_state_is_real_band_limited_and_mirrors():
+    sim = ideal_sim()
+    psi = sim.initial_state(seed=1, noise=1e-2)
+    assert psi.dtype == np.float64
+    assert sim.norm(psi) == pytest.approx(N_AT, rel=1e-14)
+    # untrapped, psi is proportional to 1 + noise*xi: no weight above
+    # |p| = 2 hbar k beyond round-off, and noise is the rms relative
+    # amplitude (up to xi's small mean)
+    weight = np.abs(np.fft.fft2(psi)) ** 2
+    assert weight[sim.ksq > 4.0 + 1e-9].sum() < 1e-28 * weight.sum()
+    relative = psi / psi.mean() - 1.0
+    assert np.sqrt(np.mean(relative**2)) == pytest.approx(1e-2, rel=1e-2)
+    # the noise reaches the checkerboard, and half a pump wavelength along
+    # the cavity axis (4 of 32 points over 8 pi) swaps its sublattices
+    theta = sim.order_parameters(psi).theta
+    assert abs(theta) > 1e-5 * N_AT
+    rolled = sim.order_parameters(np.roll(psi, 4, axis=0)).theta
+    assert rolled == pytest.approx(-theta, rel=1e-9)
+
+
+def test_real_start_relaxes_with_the_real_fft_pair(monkeypatch):
+    sim = ideal_sim()
+    psi0s = [sim.initial_state(seed=s, noise=1e-2) for s in (1, 2)]
+    fft = CountingFFT()
+    monkeypatch.setattr(gpe, "sfft", fft)
+    gs = sim.imaginary_time_ground_state(eta_of(1.3), psi0=psi0s[0])
+    # one rfft2/irfft2 pair per step; rfft2 also serves the energy checks
+    assert set(fft.calls) == {"rfft2", "irfft2"}
+    assert fft.calls["irfft2"] == gs["steps"]
+    assert gs["psi"].dtype == np.float64
+    fft.calls.clear()
+    states = sim.ground_states(eta_of(1.3), psi0s)
+    assert set(fft.calls) == {"rfft2", "irfft2"}
+    assert [gs["psi"].dtype for gs in states] == [np.float64] * 2
+
+
+@pytest.mark.parametrize("make_sim, eta", [(ideal_sim, eta_of(1.3)),
+                                           (trapped_sim, 0.0)])
+def test_real_and_complex_starts_relax_alike(make_sim, eta):
+    # the same starts as real fields and cast to complex: the two FFT pairs
+    # round differently, nothing else; the trapped cloud also takes the
+    # trap and collision terms
+    sim = make_sim()
+    psi0s = [sim.initial_state(seed=s, noise=1e-2) for s in (1, 2)]
+    real = sim.ground_states(eta, psi0s)
+    cast = sim.ground_states(eta, np.array(psi0s, dtype=complex))
+    for r, c in zip(real, cast):
+        assert (r["psi"].dtype, c["psi"].dtype) == (np.float64,
+                                                    np.complex128)
+        assert r["steps"] == c["steps"]
+        assert r["energy"] == pytest.approx(c["energy"], rel=1e-13)
+        assert abs(r["theta"] - c["theta"]) \
+            <= 1e-13 * max(abs(c["theta"]), sim.n_atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -431,6 +433,51 @@ def test_every_subcommand_writes_its_files(tmp_path):
     for name in ("trajectory.csv", "threshold.json"):
         assert (tmp_path / "dicke-ode" / name).read_bytes() \
             == (tmp_path / "ramp-ode" / name).read_bytes()
+
+
+def test_dicke_ode_echo_reruns_the_ode(tmp_path):
+    # dicke-ode's config.resolved names the engine that ran, so `ramp` on
+    # that echo reruns the same ODE, byte for byte
+    first = tmp_path / "dicke-ode"
+    assert cli.main(["dicke-ode", "--override", "dicke_omega0=1",
+                     "--override", "t_final=" + repr(50.0 / W_R),
+                     "--out", str(first), "--seed", "3"]) == cli.EXIT_OK
+    echo = (first / "config.resolved").read_text()
+    assert "engine = dicke-semiclassical" in echo.splitlines()
+    again = tmp_path / "rerun"
+    assert cli.main(["ramp", "--config", str(first / "config.resolved"),
+                     "--out", str(again), "--seed", "3"]) == cli.EXIT_OK
+    assert (again / "trajectory.csv").read_bytes() \
+        == (first / "trajectory.csv").read_bytes()
+
+
+def test_manifest_command_names_the_subcommand_once(tmp_path):
+    out = tmp_path / "run"
+    argv = ["boundary", "--override", "delta_c_list=-1e8", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == " ".join(argv)
+
+
+def test_start_loads_no_heavy_scipy_module():
+    # a selforg start (import, config, first engine object) loads none of
+    # the scipy submodules whose import alone costs 0.15-0.3 s
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from selforg import cli, dicke, sweeps\n"
+        "sweeps.build_sim(sweeps.default_config())\n"
+        "sweeps.build_sim(replace(sweeps.default_config(), trap=False,\n"
+        "                         pump_lattice=False))\n"
+        "heavy = ('scipy.fft', 'scipy.sparse', 'scipy.linalg',\n"
+        "         'scipy.optimize', 'scipy.special')\n"
+        "print(sorted(m for m in sys.modules if m in heavy))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sweeps.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command, override", [

@@ -24,8 +24,10 @@ g2d|psi|^2 taken from the field it acts on, and the step is second order
 in dt for this density-dependent, nonlocal potential (Lubich, Math. Comp.
 77, 2141 (2008)).  One loop runs both real and imaginary time (ground
 states, with the field renormalized to the atom number after every step).
-It builds the kinetic factor once per propagation and computes one alpha
-and one exponential per step.
+It builds the kinetic factor once per propagation, and one routine forms
+every half-step factor from one density |psi|^2 per step: one reduction
+to the norm, Theta and B (that of order_parameters and norm), one alpha
+and one exponential; a real-time record's norm is the step's own.
 
 The dtype rule: the potential is real, so imaginary time maps real fields
 to real fields.  initial_state returns a real field, ground_states keeps
@@ -83,6 +85,11 @@ _SEED_MOMENTUM = 2.0    # highest |p| of the start noise, in hbar k
 def _field_axes(value):
     """A per-member scalar or array, shaped to broadcast against fields."""
     return np.asarray(value)[..., None, None]
+
+
+def _plain(value):
+    """A 2D field's reduction as a float; a stack's array as it is."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -176,21 +183,31 @@ class CondensateSim:
     def _integral(self, f):
         """sum(f) dA over the last two axes: a float for a 2D field, an
         array over the members for a stack."""
-        s = f.sum(axis=(-2, -1)) * self.grid.cell_area
-        return float(s) if np.ndim(s) == 0 else s
+        return _plain(f.sum(axis=(-2, -1)) * self.grid.cell_area)
 
     @staticmethod
     def _density(psi):
         """|psi|^2, as psi*psi for a real field (the same numbers)."""
         return psi * psi if np.isrealobj(psi) else np.abs(psi) ** 2
 
+    def _moments(self, dens):
+        """The norm, Theta and B of a density in one reduction over
+        (1, phi_c phi_p, phi_c^2): an array (3,) for a 2D field, (3, B)
+        for a stack (one member's sums do not depend on its stack)."""
+        return self.grid.cell_area * np.einsum(
+            "...ij,kij->k...", dens, self._moment_profiles)
+
+    @functools.cached_property
+    def _moment_profiles(self):
+        return np.stack([np.ones_like(self.prof_cc), self.prof_cc,
+                         self.prof_c2])
+
     def norm(self, psi):
-        return self._integral(self._density(psi))
+        return _plain(self._moments(self._density(psi))[0])
 
     def order_parameters(self, psi) -> OrderParameters:
-        dens = self._density(psi)
-        return OrderParameters(theta=self._integral(self.prof_cc * dens),
-                               bunching=self._integral(self.prof_c2 * dens))
+        _, theta, bunching = self._moments(self._density(psi))
+        return OrderParameters(theta=_plain(theta), bunching=_plain(bunching))
 
     def alpha_of(self, psi, eta):
         op = self.order_parameters(psi)
@@ -203,27 +220,26 @@ class CondensateSim:
             return 0.0
         return eta**2 / self.u0
 
-    def potential(self, eta, alpha, profiles=None):
+    def potential(self, eta, alpha, factor=1.0):
         """Dynamic potential grid in E_r (without the collisional term); a
         stack of grids for an array of per-member alphas.
 
         One pass over the grid sums coefficient times profile in the
         order (((v0 phi_p^2 + c2 phi_c^2) + cc phi_c phi_p) + trap),
-        leaving out the lattice term where v0 = 0.  ``profiles``, the
-        profile stack times a factor, gives that factor times the
-        potential.
+        leaving out the lattice term where v0 = 0.  ``factor`` scales the
+        coefficients, so the same pass gives factor times the potential.
         """
-        c2 = self.u0 * (alpha.real * alpha.real + alpha.imag * alpha.imag)
-        cc = 2.0 * eta * alpha.real
+        c2 = (factor * self.u0) * (alpha.real * alpha.real
+                                   + alpha.imag * alpha.imag)
+        cc = (2.0 * factor * eta) * alpha.real
         coeffs = [c2, cc]
         if v0 := self.pump_depth_of(eta):
-            coeffs.insert(0, np.full_like(c2, v0))
+            coeffs.insert(0, np.full_like(c2, factor * v0))
         if self.trap:
-            coeffs.append(np.ones_like(c2))
-        profiles = self._profiles if profiles is None else profiles
+            coeffs.append(np.full_like(c2, factor))
         first = 0 if v0 else 1
         return np.einsum("k...,kij->...ij", coeffs,
-                         profiles[first:first + len(coeffs)])
+                         self._profiles[first:first + len(coeffs)])
 
     def energy(self, psi, eta, alpha=None):
         """Mean-field energy per the instantaneous cavity amplitude, in E_r.
@@ -261,10 +277,12 @@ class CondensateSim:
         return self.ksq[:, :nz // 2 + 1] * weight
 
     def edge_density_fraction(self, psi):
+        """Highest density on the grid's four edges over the peak density,
+        per member of a stack."""
         dens = self._density(psi)
-        edge = max(dens[0, :].max(), dens[-1, :].max(),
-                   dens[:, 0].max(), dens[:, -1].max())
-        return edge / dens.max()
+        edge = np.maximum(dens[..., [0, -1], :].max(axis=(-2, -1)),
+                          dens[..., [0, -1]].max(axis=(-2, -1)))
+        return _plain(edge / dens.max(axis=(-2, -1)))
 
     def _check_edges(self, psi, where):
         if self.trap and (edge := self.edge_density_fraction(psi)) > 1e-10:
@@ -306,56 +324,46 @@ class CondensateSim:
 
     # -- propagation ------------------------------------------------------
 
-    def _half_potential(self, psi, eta, alpha, half_dt, out):
-        """The real-time half-step factor exp(-i V dt/2) into the complex
-        ``out``, with V = potential(eta, alpha) plus the collisional term
-        of psi's density."""
-        v = self.potential(eta, alpha)
-        if self.g2d:
-            v += self.g2d * np.abs(psi) ** 2
-        v *= -half_dt
-        np.cos(v, out=out.real)
-        np.sin(v, out=out.imag)
-        return out
-
-    def _imaginary_half_potential(self, phi, eta, profiles, g2d_scaled):
-        """Renormalize phi in place to the atom number; return its alpha
-        and op and the half-step factor exp(-V dt/2), all from phi's one
-        density before renormalizing (the norm, Theta and B of the
-        renormalized field are s^2 = N/norm times phi's).  ``profiles``
-        and g2d_scaled are the potential's profiles and g2d times -dt/2."""
-        dens = self._density(phi)
-        norm, theta, bunching = self.grid.cell_area * np.einsum(
-            "...ij,kij->k...", dens, self._moment_profiles)
-        s2 = self.n_atoms / norm
-        phi *= _field_axes(np.sqrt(s2))
-        op = OrderParameters(theta=s2 * theta, bunching=s2 * bunching)
-        alpha = cavity_amplitude(op.theta, op.bunching, eta, self.delta_c,
+    def _half_step(self, psi, eta, scale, h, renormalize=False):
+        """Fill the buffer h with exp(scale*V) if it is real, exp(i*scale*V)
+        if complex (scale = -dt/2), and return (alpha, op, norm, h), all
+        from psi's one density: the norm, Theta and B in one reduction,
+        alpha of those, V = potential(eta, alpha) + g2d|psi|^2.  With
+        ``renormalize`` (imaginary time) psi is first scaled in place to
+        the atom number, and the moments and density by s^2 = N/norm.
+        """
+        dens = self._density(psi)
+        moments = self._moments(dens)
+        s2 = 1.0
+        if renormalize:
+            s2 = self.n_atoms / moments[0]
+            psi *= _field_axes(np.sqrt(s2))
+            moments *= s2
+        norm, theta, bunching = moments
+        alpha = cavity_amplitude(theta, bunching, eta, self.delta_c,
                                  self.u0, self.kappa)
-        v = self.potential(eta, alpha, profiles)
-        if g2d_scaled:
-            dens *= _field_axes(g2d_scaled * s2)
+        v = self.potential(eta, alpha, scale)
+        if self.g2d:
+            dens *= _field_axes(scale * self.g2d * s2)
             v += dens
-        return alpha, op, np.exp(v, out=v)
-
-    @functools.cached_property
-    def _moment_profiles(self):
-        """(1, phi_c phi_p, phi_c^2): the weights of the norm, Theta and B,
-        to take all three in one reduction."""
-        return np.stack([np.ones_like(self.prof_cc), self.prof_cc,
-                         self.prof_c2])
+        if h.dtype.kind == "f":
+            np.exp(v, out=h)
+        else:
+            np.cos(v, out=h.real)
+            np.sin(v, out=h.imag)
+        return alpha, OrderParameters(theta, bunching), norm, h
 
     def _strang_steps(self, psi, ramp, dt, n_steps, imaginary):
-        """Yield (psi, power, eta, alpha, op) at t = i*dt for i = 0..n_steps,
-        where alpha and op belong to that psi (exactly at i = 0; to
-        rounding in imaginary time, where they come from the field before
-        renormalizing).
+        """Yield (psi, power, eta, alpha, op, norm) at t = i*dt for
+        i = 0..n_steps, where alpha, op and the norm belong to that psi
+        (exactly at i = 0; after it, to rounding, from the field before
+        its last product with h or its renormalization).
 
         psi is one field (nx, nz) or a stack (B, nx, nz) of members that
-        share the schedule; for a stack, alpha and op hold one value per
-        member, and the step acts on each member's slice alone.  A real
-        psi (imaginary time only) steps with rfft2/irfft2 and the kinetic
-        factor on the half spectrum, a complex one with fft2/ifft2.
+        share the schedule; for a stack, alpha, op and the norm hold one
+        value per member, and the step acts on each member's slice alone.
+        A real psi (imaginary time only) steps with rfft2/irfft2 and the
+        kinetic factor on the half spectrum, a complex one with fft2/ifft2.
 
         A step is V(dt/2) K(dt) V(dt/2): one forward and one inverse FFT
         around the exact kinetic factor, between two multiplications by
@@ -364,12 +372,12 @@ class CondensateSim:
         exact with V taken from the density it acts on: the second half of
         step i takes alpha, g2d|psi|^2 and eta(t_{i+1}) from the
         post-kinetic field, and that factor is also the first half of step
-        i+1.  Each step computes one alpha and one exponential, and the
-        splitting is second order in dt (Lubich, Math. Comp. 77, 2141
-        (2008)).  In imaginary time the step applies the factor of its
-        starting field twice and then renormalizes to the atom number, a
-        symmetric step whose fixed point is O(dt^2) from the ground state;
-        the step takes one density, for the norm, alpha and h alike.
+        i+1.  The splitting is second order in dt (Lubich, Math. Comp. 77,
+        2141 (2008)).  In imaginary time the step applies the factor of
+        its starting field twice and then renormalizes to the atom number,
+        a symmetric step whose fixed point is O(dt^2) from the ground
+        state.  Either way _half_step forms every h, the start's too: one
+        density, one moment reduction and one exponential per step.
         """
         unit = 1.0 if imaginary else 1j     # exp(-unit * dt * H)
         if np.isrealobj(psi):
@@ -380,33 +388,23 @@ class CondensateSim:
         else:
             exp_k = np.exp(-unit * dt * self.ksq)
             fft, ifft = sfft.fft2, sfft.ifft2
+        h = np.empty(psi.shape, float if imaginary else complex)
         power, eta = ramp(0.0)
-        alpha, op = self.alpha_of(psi, eta)
-        if imaginary:
-            profiles = -dt / 2 * self._profiles
-            g2d_scaled = -dt / 2 * self.g2d
-            h = np.exp(-dt / 2 * (self.potential(eta, alpha)
-                                  + self.g2d * self._density(psi)))
-        else:
-            h = self._half_potential(psi, eta, alpha, dt / 2,
-                                     np.empty(psi.shape, complex))
+        alpha, op, norm, h = self._half_step(psi, eta, -dt / 2, h)
         for i in range(n_steps + 1):
-            yield psi, power, eta, alpha, op
+            yield psi, power, eta, alpha, op, norm
             if i == n_steps:
                 return
             phi = fft(h * psi, overwrite_x=True)
             phi *= exp_k
-            phi = ifft(phi, overwrite_x=True)
+            psi = ifft(phi, overwrite_x=True)
             power, eta = ramp((i + 1) * dt)
             if imaginary:
-                phi *= h
-                alpha, op, h = self._imaginary_half_potential(
-                    phi, eta, profiles, g2d_scaled)
-            else:
-                alpha, op = self.alpha_of(phi, eta)
-                self._half_potential(phi, eta, alpha, dt / 2, out=h)
-                phi *= h
-            psi = phi
+                psi *= h
+            alpha, op, norm, h = self._half_step(psi, eta, -dt / 2, h,
+                                                 renormalize=imaginary)
+            if not imaginary:
+                psi *= h
 
     def imaginary_time_ground_state(self, eta, *, seed=None, noise=1e-4,
                                     dtau=2e-3, tol_energy=1e-10,
@@ -524,7 +522,7 @@ class CondensateSim:
         stepper = self._strang_steps(psi, lambda t: (math.nan, eta), dtau,
                                      int(budgets.max(initial=0)),
                                      imaginary=True)
-        for step, (psi, _, _, alpha, op) in enumerate(stepper):
+        for step, (psi, _, _, alpha, op, _) in enumerate(stepper):
             if not step or step % _CHECK_EVERY:
                 continue
             energies.append(self.energy(psi, eta, alpha))
@@ -559,13 +557,15 @@ class CondensateSim:
 
         ramp is a callable t -> (power_watt, eta_scaled); see PowerRamp.
         Records t, P, eta, alpha, photon number, Theta, B and the norm every
-        ``record_every`` steps; a record's alpha is that of the recorded
-        field.  Each step is V(dt/2) K(dt) V(dt/2) with exact potential
-        half-steps: second order in dt, two FFTs, one alpha and one
-        exponential per step (see _strang_steps).  Norm drift
-        beyond 1e-6 relative per 1000 steps aborts (the splitting is
-        unitary, so drift means blow-up).  ``snapshot_times`` requests
-        (time, psi-copy) pairs under "snapshots".
+        ``record_every`` steps; a record's alpha, Theta, B and norm are
+        those of the recorded field, taken from the step's own density
+        (recording reduces nothing again).  Each step is V(dt/2) K(dt)
+        V(dt/2) with exact potential half-steps: second order in dt, two
+        FFTs, one density, one moment reduction, one alpha and one
+        exponential per step (see _strang_steps).  Norm drift beyond 1e-6
+        relative per 1000 steps aborts (the splitting is unitary, so drift
+        means blow-up).  ``snapshot_times`` requests (time, psi-copy) pairs
+        under "snapshots".
         """
         psi = np.array(psi0, dtype=complex)
         n_steps = max(1, int(round(t_final / dt)))
@@ -579,13 +579,12 @@ class CondensateSim:
         snaps = []
         want = sorted(snapshot_times) if snapshot_times else []
         steps = self._strang_steps(psi, ramp, dt, n_steps, imaginary=False)
-        for i, (psi, power, eta, alpha, op) in enumerate(steps):
+        for i, (psi, power, eta, alpha, op, nrm) in enumerate(steps):
             t = i * dt
             if edge_check_every and i and i % edge_check_every == 0:
                 self._check_edges(psi, f"real time (t={t:g})")
             if i % record_every == 0:
                 idx = i // record_every
-                nrm = self.norm(psi)
                 rec["t"][idx] = t
                 rec["power"][idx] = power
                 rec["eta"][idx] = eta
@@ -647,11 +646,10 @@ class CondensateSim:
         same critical-pump formula when comparing against this engine's own
         dynamics.
         """
-        dens = np.abs(psi) ** 2
-        da = self.grid.cell_area
-        n_eff = float((self.prof_c2 * self.prof_p2 * dens).sum() * da)
-        b0 = float((self.prof_c2 * dens).sum() * da)
-        e_int_scaled = (self.g2d / (2 * self.n_atoms)) * float((dens**2).sum() * da)
+        dens = self._density(psi)
+        n_eff = self._integral(self.prof_c2 * self.prof_p2 * dens)
+        b0 = _plain(self._moments(dens)[2])
+        e_int_scaled = self.g2d / (2 * self.n_atoms) * self._integral(dens**2)
         e_int = e_int_scaled * self.derived.recoil_energy
         delta_tilde = self.params.pump_cavity_detuning \
             - self.params.single_atom_lightshift * b0

@@ -212,6 +212,12 @@ def test_overlap_integrals_2d():
     assert ov.shifted_detuning == pytest.approx(
         sim.params.pump_cavity_detuning
         - sim.params.single_atom_lightshift * ov.bunching_0, rel=1e-12)
+    # B0 is the order parameters' B of the same field, from the same sums
+    trapped = trapped_sim()
+    cloud = trapped.initial_state(seed=1, noise=1e-2)
+    for s, field in ((sim, psi), (trapped, cloud)):
+        assert s.overlap_integrals_2d(field).bunching_0 \
+            == s.order_parameters(field).bunching
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +261,22 @@ def test_edge_density_guard():
     with pytest.raises(GridError, match="edge"):
         sim.real_time_evolve(corner_cloud(sim), lambda t: (0.0, 0.0), 0.01,
                              1e-3, edge_check_every=1)
+
+
+def test_edge_fraction_is_taken_per_member():
+    # each member's four edges over its own peak: a stack of two start
+    # clouds reads their own tiny ratio twice (member 0's whole field is
+    # not an edge), and a corner cloud in a stack reads its own ratio
+    sim = trapped_sim()
+    psi = sim.initial_state(seed=1, noise=1e-4)
+    alone = sim.edge_density_fraction(psi)
+    assert isinstance(alone, float) and alone < 1e-30
+    both = sim.edge_density_fraction(np.array([psi, psi]))
+    assert both.shape == (2,) and np.array_equal(both, [alone, alone])
+    corner = corner_cloud(sim).real
+    mixed = sim.edge_density_fraction(np.array([psi, corner]))
+    assert mixed[0] == alone
+    assert mixed[1] == sim.edge_density_fraction(corner) > 0.5
 
 
 def test_edge_guard_names_the_checked_field_time():
@@ -314,6 +336,46 @@ def test_recording_is_observation_only():
     assert (t_a, t_b) == (0.06, 0.12)
     assert np.array_equal(psi_a, half["psi"])
     assert np.array_equal(psi_b, every["psi"])
+
+
+def test_a_step_reduces_its_field_once(monkeypatch):
+    # alpha, Theta, B and the record's norm come from the step's one moment
+    # reduction: a real-time propagation calls neither alpha_of nor norm
+    sim = trapped_sim()
+    psi0 = sim.initial_state(seed=1, noise=1e-2)
+    calls = []
+    for name in ("alpha_of", "norm"):
+        def spy(self, *args, _name=name, _method=getattr(CondensateSim, name)):
+            calls.append(_name)
+            return _method(self, *args)
+        monkeypatch.setattr(CondensateSim, name, spy)
+    ramp = PowerRamp(sim.params, [(0.0, 0.0), (0.1, 2e-3)])
+    rec = sim.real_time_evolve(psi0, ramp, 0.1, 4e-3)
+    assert len(rec["norm"]) == 26 and calls == []
+
+
+def test_records_are_the_moments_of_the_recorded_field():
+    # trapped cloud with collisions and the pump lattice: each record's
+    # Theta, B and norm are those of the field it records, exactly at
+    # t = 0 and to rounding after it (the step takes them before its last
+    # multiplication by the unimodular h)
+    sim = trapped_sim()
+    assert sim.g2d > 0 and sim.pump_lattice
+    psi0 = sim.initial_state(seed=1, noise=1e-2)
+    ramp = PowerRamp(sim.params, [(0.0, 0.0), (0.1, 2e-3)])
+    dt, n = 4e-3, 25
+    rec = sim.real_time_evolve(psi0, ramp, n * dt, dt,
+                               snapshot_times=[i * dt for i in range(n + 1)])
+    assert [t for t, _ in rec["snapshots"]] == list(rec["t"])
+    assert rec["eta"][-1] > 0 and abs(rec["theta"][-1]) > 0
+    for i, (_, psi) in enumerate(rec["snapshots"]):
+        op = sim.order_parameters(psi)
+        field = (op.theta, op.bunching, sim.norm(psi))
+        got = (rec["theta"][i], rec["bunching"][i], rec["norm"][i])
+        if i == 0:
+            assert got == field
+        else:
+            assert got == pytest.approx(field, rel=1e-12, abs=0.0)
 
 
 def final_record(sim, psi0, ramp, t_final, dt, **kwargs):
@@ -514,7 +576,7 @@ def test_ground_state_is_a_fixed_point_of_its_dtau():
     for dtau in (2e-3, 4e-3):
         gs = sim.imaginary_time_ground_state(eta, seed=5, noise=1e-2,
                                              dtau=dtau)
-        (_, _, _, _, op0), (_, _, _, _, op1) = sim._strang_steps(
+        (_, _, _, _, op0, _), (_, _, _, _, op1, _) = sim._strang_steps(
             gs["psi"], lambda t: (math.nan, eta), dtau, 1, imaginary=True)
         assert op0.theta == gs["theta"]
         assert abs(op1.theta - op0.theta) < 1e-8 * N_AT

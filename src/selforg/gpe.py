@@ -46,7 +46,10 @@ coefficients use real +, -, * and / only, which round alike in Python
 floats and numpy arrays (complex division does not), so one expression
 serves a 2D field's scalars and a stack's arrays.  ground_states relaxes
 such a stack, coarse to fine, in one pass of the loop per stage: a member
-that has converged keeps stepping with the stack, unchecked.
+that has converged keeps stepping with the stack, unchecked.  A stage
+returns fields and settle steps only; ground_states raises at the first
+stage that leaves a member unsettled, and after the last stage computes
+each member's observables once, of its returned field.
 """
 
 import functools
@@ -148,12 +151,11 @@ class CondensateSim:
             pump_waist_y=math.inf)
         prof_c, prof_p = mode_profiles(modes, x, 0.0, z)
         # the potential's profiles as one stack, the lattice first and the
-        # trap last (see potential); prof_* and v_trap are its rows
+        # trap last (see potential); prof_* are its first rows
         self._profiles = np.stack(
             [prof_p**2, prof_c**2, prof_c * prof_p]
             + ([harmonic_trap(params, x, 0.0, z)] if trap else []))
         self.prof_p2, self.prof_c2, self.prof_cc = self._profiles[:3]
-        self.v_trap = self._profiles[3] if trap else 0.0
         self.ksq = grid.ksq()
         self.g2d = self._reduce_interaction(sigma_y_mode, sigma_y)
 
@@ -417,11 +419,11 @@ class CondensateSim:
         min(8*dtau, 1.6e-2) and dtau_c/2, then a stage at dtau from their
         Richardson extrapolation (see ground_states).  Returns a dict with
         psi (real for a real start, such as initial_state's), alpha,
-        theta, bunching, energy, the step count of all stages
-        (``steps``) and the energy trace of the dtau stage
-        (``energy_trace``); max_steps bounds all stages together.  Raises
-        ConvergenceError (with the recent theta trace attached) if
-        max_steps is exhausted.
+        theta, bunching and energy, computed once of that psi, the step
+        count of all stages (``steps``) and the energy trace of the dtau
+        stage (``energy_trace``); max_steps bounds all stages together.
+        Raises ConvergenceError (with the recent theta trace attached) at
+        the first stage that exhausts what is left of max_steps.
         """
         psi = self.initial_state(seed, noise) if psi0 is None else psi0
         return self.ground_states(eta, np.asarray(psi)[None], dtau=dtau,
@@ -436,7 +438,7 @@ class CondensateSim:
         The stack keeps its dtype: real starts relax on float64 with the
         real FFT pair, complex ones on complex128 (see the module
         docstring).  A member's alpha, theta, bunching and energy are
-        those of its returned field, computed once it has settled.
+        computed once, of its returned field, after the last stage.
 
         The split step's fixed point is O(dtau^2) from the ground state
         (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)).  So each member,
@@ -455,59 +457,63 @@ class CondensateSim:
         sliding window of checks, its energy change per step stays below
         tol_energy * N (E_r), its |dTheta| below tol_theta * N, and |Theta|
         stops growing; the last stage's fields get their edges checked.
-        ``steps`` counts all stages, max_steps bounds them together (a
-        member that runs out is charged all of it, so later stages leave
-        it unchecked), and ``energy_trace`` is the last stage's.  Raises
-        ConvergenceError naming every member (index into psi0s, also in
-        its ``members``) that did not converge within max_steps, with the
-        first one's recent theta trace attached.
+        ``steps`` counts all stages, max_steps bounds them together, and
+        ``energy_trace`` is the last stage's.  The first stage that leaves
+        a member unsettled within what is left of max_steps raises
+        ConvergenceError, naming that stage's unsettled members (indices
+        into psi0s, also in its ``members``) with the first one's recent
+        theta trace attached.
         """
         psi = np.asarray(psi0s)
         if psi.ndim != 3:
             raise ValueError("psi0s must be a stack of fields (B, nx, nz)")
         psi = self.renormalize(psi)
         steps = np.zeros(len(psi), dtype=int)
-        unconverged = {}                    # member -> its theta trace
         coarse = min(8 * dtau, _COARSE_DTAU)
         fixed_points = []                   # the coarse stages' stacks
         for dt in (coarse, coarse / 2, dtau) if coarse > 2 * dtau else (dtau,):
             if len(fixed_points) == 2:
                 rough, half = fixed_points
                 psi = self.renormalize((4 * half - rough) / 3)
-            found, th_traces = self._relax(psi, eta, dt, max_steps - steps,
-                                           tol_energy, tol_theta)
-            psi = psi.copy()
-            for m, gs in enumerate(found):
-                if gs is None:
-                    unconverged.setdefault(m, th_traces[m])
-                    steps[m] = max_steps
-                else:
-                    steps[m] += gs["steps"]
-                    psi[m] = gs["psi"]
+            budgets = max_steps - steps
+            psi, settled_at, energies, thetas = self._relax(
+                psi, eta, dt, budgets, tol_energy, tol_theta)
+            if not settled_at.all():
+                members = np.flatnonzero(settled_at == 0).tolist()
+                err = ConvergenceError(
+                    f"imaginary time not converged after {max_steps} steps: "
+                    f"member{'s' * (len(members) > 1)} "
+                    + ", ".join(map(str, members)))
+                err.members = members
+                checks = budgets[members[0]] // _CHECK_EVERY
+                err.theta_trace = thetas[:checks, members[0]][-200:].copy()
+                raise err
+            steps += settled_at
             fixed_points.append(psi)
-        if unconverged:
-            members = sorted(unconverged)
-            err = ConvergenceError(
-                f"imaginary time not converged after {max_steps} steps: "
-                f"member{'s' * (len(members) > 1)} "
-                + ", ".join(map(str, members)))
-            err.members = members
-            err.theta_trace = np.array(unconverged[members[0]][-200:])
-            raise err
-        for gs, n in zip(found, steps.tolist()):
-            self._check_edges(gs["psi"], "imaginary time")
-            gs["steps"] = n
-        return found
+        states = []
+        for m, field in enumerate(psi):
+            self._check_edges(field, "imaginary time")
+            alpha, op = self.alpha_of(field, eta)
+            states.append({
+                "psi": field, "alpha": alpha, "theta": op.theta,
+                "bunching": op.bunching,
+                "energy": self.energy(field, eta, alpha),
+                "steps": int(steps[m]),
+                "energy_trace":
+                    energies[:settled_at[m] // _CHECK_EVERY, m].copy()})
+        return states
 
     def _relax(self, psi, eta, dtau, budgets, tol_energy, tol_theta):
         """One relaxation stage of the stack psi at step dtau: one pass of
         _strang_steps over the whole stack.
 
-        Member m is checked until it passes the sliding-window test or has
-        no check left within budgets[m] steps (none if budgets[m] <= 0); a
-        settled member keeps stepping, unchecked.  The pass ends when no
-        member is left to check.  Returns (found, theta traces): found[m] is
-        member m's state dict, None if it did not converge.
+        Member m is checked every _CHECK_EVERY steps up to budgets[m] steps
+        until it passes the sliding-window test; a settled member keeps
+        stepping, unchecked.  The pass ends when no member is left to check.
+        Returns (fields, settled_at, energies, thetas): each member's field
+        copied at the check where it settled, that check's step (0 if it
+        did not settle, its field then undefined), and the stage's energy
+        and Theta rows over the stack, shape (checks, B).
         """
         # convergence is judged over a sliding window of checks: near the
         # critical point the unstable mode grows slowly out of the noise, so
@@ -515,41 +521,31 @@ class CondensateSim:
         # state is still sliding off the normal-phase saddle
         tol_e = tol_energy * self.n_atoms * _WINDOW * _CHECK_EVERY
         tol_th = tol_theta * self.n_atoms
-        found = [None] * len(psi)
+        fields = np.empty_like(psi)
+        settled_at = np.zeros(len(psi), dtype=int)
         energies, thetas = [], []           # one row over the stack per check
-        checks = np.zeros(len(psi), dtype=int)    # each member's checks
-        checking = budgets > 0
         stepper = self._strang_steps(psi, lambda t: (math.nan, eta), dtau,
                                      int(budgets.max(initial=0)),
                                      imaginary=True)
-        for step, (psi, _, _, alpha, op, _) in enumerate(stepper):
+        for step, (field, _, _, alpha, op, _) in enumerate(stepper):
             if not step or step % _CHECK_EVERY:
                 continue
-            energies.append(self.energy(psi, eta, alpha))
+            energies.append(self.energy(field, eta, alpha))
             thetas.append(op.theta)
-            checks[checking] += 1
             e_win = np.array(energies[-_WINDOW:])
             th_win = np.array(thetas[-_WINDOW:])
             growing = abs(th_win[-1]) > 1.5 * abs(th_win[0]) + tol_th
-            settled = (checking & (len(energies) >= _WINDOW)
+            settled = ((settled_at == 0) & (step <= budgets)
+                       & (len(energies) >= _WINDOW)
                        & (np.ptp(e_win, axis=0) < tol_e)
                        & (np.ptp(th_win, axis=0) < tol_th) & ~growing)
-            for m in np.flatnonzero(settled):
-                # the member's observables exactly of its returned field
-                gs_psi = psi[m].copy()
-                gs_alpha, gs_op = self.alpha_of(gs_psi, eta)
-                found[m] = {
-                    "psi": gs_psi, "alpha": gs_alpha, "theta": gs_op.theta,
-                    "bunching": gs_op.bunching,
-                    "energy": self.energy(gs_psi, eta, gs_alpha),
-                    "steps": step,
-                    "energy_trace": np.array(energies)[:, m].copy()}
-            checking &= ~settled & (step + _CHECK_EVERY <= budgets)
-            if not checking.any():
+            fields[settled] = field[settled]
+            settled_at[settled] = step
+            if not (step + _CHECK_EVERY <= budgets[settled_at == 0]).any():
                 break
-        # member m's theta trace is its column up to its last check
-        thetas = np.reshape(thetas, (-1, len(psi))).T
-        return found, [trace[:k] for trace, k in zip(thetas, checks)]
+        rows = (-1, len(psi))
+        return (fields, settled_at, np.reshape(energies, rows),
+                np.reshape(thetas, rows))
 
     def real_time_evolve(self, psi0, ramp, t_final, dt, *, record_every=1,
                          edge_check_every=2000, snapshot_times=None):

@@ -501,7 +501,9 @@ def _run_ramp_ode(config):
     (semiclassical); returns (rec, report) and writes nothing.
 
     Runs in recoil units like the gpe engine: dicke_* config keys are in
-    units of omega_r and the trajectory time axis is in 1/omega_r.
+    units of omega_r and the trajectory time axis is in 1/omega_r.  The
+    step is the config's dt, else dicke.max_stable_dt; a dt coarser than
+    that bound is an engine error.
     """
     w_r = derive(config.params).recoil_frequency
     p = dicke.DickeParams(omega=config.dicke_omega,
@@ -517,8 +519,9 @@ def _run_ramp_ode(config):
         return lam_end * min(1.0, t / t_final)
 
     s0 = dicke.normal_state(noise=config.noise_amplitude, seed=config.seed)
+    dt = None if math.isnan(config.dt) else config.dt * w_r
     rec = dicke.integrate_semiclassical_ramp(
-        s0, p, lam_of, t_final, record_every=config.record_every)
+        s0, p, lam_of, t_final, dt=dt, record_every=config.record_every)
     report = _threshold(config, {
         "nphoton": rec["photon_frac"],
         "power": np.full_like(rec["t"], math.nan), "eta": rec["coupling"]})
@@ -698,16 +701,16 @@ def run_symmetry_ensemble(config: RunConfig, rundir: RunDir,
     base = [r for r in ordered if not r[5]]
     n_plus = sum(1 for r in base if r[1] > 0)
     n_minus = len(base) - n_plus
+    # a sign no member took has no mean: null, as strict JSON has no NaN
     stats = {
         "n_seeds": len(base),
         "n_plus": n_plus,
         "n_minus": n_minus,
-        "binomial_p": binomial_pvalue(n_plus, len(base))
-        if base else math.nan,
+        "binomial_p": binomial_pvalue(n_plus, len(base)),
         "mean_abs_theta_plus": float(np.mean([abs(r[2]) for r in base
-                                              if r[1] > 0])) if n_plus else math.nan,
+                                              if r[1] > 0])) if n_plus else None,
         "mean_abs_theta_minus": float(np.mean([abs(r[2]) for r in base
-                                               if r[1] < 0])) if n_minus else math.nan,
+                                               if r[1] < 0])) if n_minus else None,
     }
     rundir.write("ensemble.csv",
                  csv_table(ENSEMBLE_HEADER + ",mirrored", ordered))

@@ -264,8 +264,9 @@ def test_criterion_07_symmetry_breaking_ensemble(tmp_path):
     rows, stats = sweeps.run_symmetry_ensemble(config, rd, workers=2)
     both = stats["n_plus"] > 0 and stats["n_minus"] > 0
     balance = stats["binomial_p"] > 0.01
+    # a one-sided ensemble has no mean |Theta| for the missing sign (None)
     mag_dev = abs(stats["mean_abs_theta_plus"] - stats["mean_abs_theta_minus"]) \
-        / stats["mean_abs_theta_plus"]
+        / stats["mean_abs_theta_plus"] if both else math.inf
     # mirrored noise must flip the sign exactly (small paired batch)
     config_m = resolve_config({**mapping, "n_seeds": "5"}, seed=20)
     rows_m, _ = sweeps.run_symmetry_ensemble(

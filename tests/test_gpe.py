@@ -612,6 +612,44 @@ def test_unconverged_members_are_named():
     assert len(info.value.theta_trace) == 143
 
 
+def test_ground_state_observables_are_computed_once(monkeypatch):
+    # the relaxation stages return fields only: alpha is taken once per
+    # member, of its returned field, after the last stage
+    sim = ideal_sim()
+    psi0s = [sim.initial_state(seed=s, noise=1e-2) for s in (1, 2)]
+    calls = []
+    alpha_of = CondensateSim.alpha_of
+
+    def spy(self, *args):
+        calls.append(args)
+        return alpha_of(self, *args)
+    monkeypatch.setattr(CondensateSim, "alpha_of", spy)
+    states = sim.ground_states(eta_of(1.3), psi0s)
+    assert len(calls) == len(states) == 2
+
+
+def test_first_stage_that_leaves_a_member_unsettled_raises(monkeypatch):
+    # in the coarse stage a noisy start needs 1,190 steps and a flat one
+    # (the normal saddle, Theta = 0 by symmetry) 300: under a 1,000-step
+    # budget that stage names only the noisy member, with its 100 checks,
+    # and no later stage runs
+    sim = ideal_sim()
+    psi0s = [sim.initial_state(seed=1, noise=1e-2), sim.initial_state()]
+    stages = []
+    relax = CondensateSim._relax
+
+    def spy(self, psi, eta, dtau, *args):
+        stages.append(dtau)
+        return relax(self, psi, eta, dtau, *args)
+    monkeypatch.setattr(CondensateSim, "_relax", spy)
+    with pytest.raises(ConvergenceError, match="1000 steps: member 0$") \
+            as info:
+        sim.ground_states(eta_of(1.3), psi0s, max_steps=1000)
+    assert info.value.members == [0]
+    assert len(info.value.theta_trace) == 100
+    assert stages == [1.6e-2]
+
+
 def test_initial_state_is_real_band_limited_and_mirrors():
     sim = ideal_sim()
     psi = sim.initial_state(seed=1, noise=1e-2)

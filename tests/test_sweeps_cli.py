@@ -451,6 +451,27 @@ def test_dicke_ode_echo_reruns_the_ode(tmp_path):
         == (first / "trajectory.csv").read_bytes()
 
 
+def test_dicke_ode_steps_at_the_config_dt(tmp_path, capsys):
+    # the default dicke_* rates give an automatic step 0.05/2 = 0.025/omega_r;
+    # a config dt of half that doubles the steps, and one coarser than that
+    # bound is an engine error that names dt
+    base = ["dicke-ode", "--override", "t_final=" + repr(50.0 / W_R),
+            "--seed", "3"]
+    steps = {}
+    for name, extra in (("auto", []),
+                        ("half", ["--override", f"dt={0.0125 / W_R!r}"])):
+        out = tmp_path / name
+        assert cli.main(base + extra + ["--out", str(out)]) == cli.EXIT_OK
+        # the header and the t = 0 record are no steps
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        steps[name] = len(lines) - 2
+    assert steps == {"auto": 2000, "half": 4000}
+    capsys.readouterr()
+    assert cli.main(base + ["--override", f"dt={0.05 / W_R!r}", "--out",
+                            str(tmp_path / "coarse")]) == cli.EXIT_ENGINE
+    assert "dt=0.05 does not resolve" in capsys.readouterr().err
+
+
 def test_manifest_command_names_the_subcommand_once(tmp_path):
     out = tmp_path / "run"
     argv = ["boundary", "--override", "delta_c_list=-1e8", "--out", str(out)]
@@ -645,6 +666,23 @@ def test_ensemble_file_does_not_depend_on_batches(tmp_path):
                      .read_text())
     assert len(texts[0].splitlines()) == 3
     assert texts[0] == texts[1]
+
+
+def test_one_sided_ensemble_stats_are_strict_json(tmp_path):
+    # one member takes one sign, so the other sign has no mean: null, not
+    # a bare NaN that strict JSON parsers reject
+    cfg = write_ideal_config(tmp_path / "ens.cfg",
+                             extra={**ENSEMBLE_KEYS, "n_seeds": "1"})
+    config = load_config(cfg, seed=5)
+    run_symmetry_ensemble(config, RunDir(str(tmp_path / "one"), config))
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    stats = json.loads((tmp_path / "one" / "ensemble_stats.json").read_text(),
+                       parse_constant=reject)
+    assert stats["n_plus"] + stats["n_minus"] == 1
+    assert None in (stats["mean_abs_theta_plus"],
+                    stats["mean_abs_theta_minus"])
 
 
 @pytest.mark.parametrize("extra, reason", [

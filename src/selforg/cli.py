@@ -18,6 +18,7 @@ variables are read.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -94,10 +95,12 @@ def main(argv=None):
     try:
         if args.command == "ramp":
             _, report = run_ramp(config, rundir)
-            if report.get("detected"):
-                print(f"threshold detected at P = {report['power']:.6g} W")
-            else:
+            if not report.get("detected"):
                 print("no threshold detected")
+            elif math.isnan(report["power"]):   # an eta or coupling ramp
+                print(f"threshold detected at eta = {report['eta']:.6g}")
+            else:
+                print(f"threshold detected at P = {report['power']:.6g} W")
         elif args.command == "diagram":
             rows, all_ok = run_phase_diagram(config, rundir,
                                              workers=args.workers)

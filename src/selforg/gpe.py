@@ -15,6 +15,11 @@ with the cavity amplitude slaved to the density at every step,
 
 where phi_c and phi_p are params.mode_profiles in the y = 0 plane (pure
 cosines without envelopes) and the trap is params.harmonic_trap there.
+The simulator holds each static profile once, in one stack with the rows
+[1, phi_c phi_p, phi_c^2, trap (with a trap), phi_p^2]: the moments weigh
+the density with rows 0-2, and the potential takes one coefficient per row
+from row 1 on, 2 eta Re(alpha), u0 |alpha|^2, 1 and v0 = eta^2/u0 (0
+without the pump lattice), summed in that order.
 
 Propagation is Strang split-step V(dt/2) K(dt) V(dt/2): an exact
 potential half-step, the exact spectral kinetic factor (one forward and
@@ -44,12 +49,13 @@ two axes, elementwise products), so a member's result is bit for bit the
 same whatever else is in its stack.  alpha and the potential's
 coefficients use real +, -, * and / only, which round alike in Python
 floats and numpy arrays (complex division does not), so one expression
-serves a 2D field's scalars and a stack's arrays.  ground_states relaxes
-such a stack, coarse to fine, in one pass of the loop per stage: a member
-that has converged keeps stepping with the stack, unchecked.  A stage
-returns fields and settle steps only; ground_states raises at the first
-stage that leaves a member unsettled, and after the last stage computes
-each member's observables once, of its returned field.
+serves a 2D field's scalars and a stack's arrays, per-member etas
+included.  ground_states relaxes such a stack, coarse to fine, in one
+pass of the loop per stage: a member that has converged keeps stepping
+with the stack, unchecked.  A stage returns fields and settle steps only;
+ground_states raises at the first stage that leaves a member unsettled,
+and after the last stage computes each member's observables once, of its
+returned field.
 """
 
 import functools
@@ -150,12 +156,15 @@ class CondensateSim:
             params, cavity_waist=math.inf, pump_waist_x=math.inf,
             pump_waist_y=math.inf)
         prof_c, prof_p = mode_profiles(modes, x, 0.0, z)
-        # the potential's profiles as one stack, the lattice first and the
-        # trap last (see potential); prof_* are its first rows
+        # every static profile once, in one stack: rows 0-2 weigh the
+        # density in _moments, rows 1 on the potential's coefficients (the
+        # lattice row is kept without the lattice: N_eff needs phi_p^2)
         self._profiles = np.stack(
-            [prof_p**2, prof_c**2, prof_c * prof_p]
-            + ([harmonic_trap(params, x, 0.0, z)] if trap else []))
-        self.prof_p2, self.prof_c2, self.prof_cc = self._profiles[:3]
+            [np.ones_like(prof_c), prof_c * prof_p, prof_c**2]
+            + ([harmonic_trap(params, x, 0.0, z)] if trap else [])
+            + [prof_p**2])
+        self.prof_cc, self.prof_c2 = self._profiles[1:3]
+        self.prof_p2 = self._profiles[-1]
         self.ksq = grid.ksq()
         self.g2d = self._reduce_interaction(sigma_y_mode, sigma_y)
 
@@ -193,16 +202,12 @@ class CondensateSim:
         return psi * psi if np.isrealobj(psi) else np.abs(psi) ** 2
 
     def _moments(self, dens):
-        """The norm, Theta and B of a density in one reduction over
-        (1, phi_c phi_p, phi_c^2): an array (3,) for a 2D field, (3, B)
-        for a stack (one member's sums do not depend on its stack)."""
+        """The norm, Theta and B of a density in one reduction over the
+        profile stack's rows 0-2, (1, phi_c phi_p, phi_c^2): an array (3,)
+        for a 2D field, (3, B) for a stack (one member's sums do not depend
+        on its stack)."""
         return self.grid.cell_area * np.einsum(
-            "...ij,kij->k...", dens, self._moment_profiles)
-
-    @functools.cached_property
-    def _moment_profiles(self):
-        return np.stack([np.ones_like(self.prof_cc), self.prof_cc,
-                         self.prof_c2])
+            "...ij,kij->k...", dens, self._profiles[:3])
 
     def norm(self, psi):
         return _plain(self._moments(self._density(psi))[0])
@@ -216,32 +221,26 @@ class CondensateSim:
         return cavity_amplitude(op.theta, op.bunching, eta, self.delta_c,
                                 self.u0, self.kappa), op
 
-    def pump_depth_of(self, eta):
-        """Scaled lattice depth v0 = eta^2/u0 (<= 0 in the red regime)."""
-        if not self.pump_lattice or eta == 0.0:
-            return 0.0
-        return eta**2 / self.u0
-
     def potential(self, eta, alpha, factor=1.0):
         """Dynamic potential grid in E_r (without the collisional term); a
-        stack of grids for an array of per-member alphas.
+        stack of grids for arrays of per-member alphas or etas.
 
-        One pass over the grid sums coefficient times profile in the
-        order (((v0 phi_p^2 + c2 phi_c^2) + cc phi_c phi_p) + trap),
-        leaving out the lattice term where v0 = 0.  ``factor`` scales the
+        One pass over the profile stack's rows 1 on takes one coefficient
+        per row and sums in the order (((cc phi_c phi_p + c2 phi_c^2) +
+        trap) + v0 phi_p^2): cc = 2 eta Re(alpha), c2 = u0 |alpha|^2, 1 for
+        the trap (a row only with a trap) and the lattice depth v0 =
+        eta^2/u0 (0 without the lattice).  ``factor`` scales the
         coefficients, so the same pass gives factor times the potential.
         """
-        c2 = (factor * self.u0) * (alpha.real * alpha.real
-                                   + alpha.imag * alpha.imag)
-        cc = (2.0 * factor * eta) * alpha.real
-        coeffs = [c2, cc]
-        if v0 := self.pump_depth_of(eta):
-            coeffs.insert(0, np.full_like(c2, factor * v0))
-        if self.trap:
-            coeffs.append(np.full_like(c2, factor))
-        first = 0 if v0 else 1
-        return np.einsum("k...,kij->...ij", coeffs,
-                         self._profiles[first:first + len(coeffs)])
+        cc = (2.0 * factor * eta) * alpha.real      # shaped like the members
+        coeffs = np.empty((len(self._profiles) - 1,) + np.shape(cc))
+        coeffs[0] = cc
+        coeffs[1] = (factor * self.u0) * (alpha.real * alpha.real
+                                          + alpha.imag * alpha.imag)
+        coeffs[2:-1] = factor                       # the trap's row, if any
+        coeffs[-1] = (factor * (eta * eta / self.u0) if self.pump_lattice
+                      else 0.0)
+        return np.einsum("k...,kij->...ij", coeffs, self._profiles[1:])
 
     def energy(self, psi, eta, alpha=None):
         """Mean-field energy per the instantaneous cavity amplitude, in E_r.

@@ -101,18 +101,22 @@ _MAGIC = b"SORGFLD1"
 _HEADER = struct.Struct("<8sI II ddd")      # magic, version, nx, nz, Lx, Lz, N
 
 
-def save_field(path, grid: Grid2D, psi, atom_number):
-    """Write a condensate field snapshot."""
+def field_bytes(grid: Grid2D, psi, atom_number):
+    """A condensate field snapshot as the bytes of its file."""
     psi = np.asarray(psi)
     if psi.shape != (grid.points_x, grid.points_z):
         raise ValueError("psi shape does not match grid")
     header = _HEADER.pack(_MAGIC, 1, grid.points_x, grid.points_z,
                           grid.extent_x, grid.extent_z, float(atom_number))
     # psi is indexed [ix, iz]; the file stores x fastest, so transpose
-    payload = np.ascontiguousarray(psi.T.astype(np.complex128))
+    return header + psi.T.astype(np.complex128).tobytes()
+
+
+def save_field(path, grid: Grid2D, psi, atom_number):
+    """Write a condensate field snapshot."""
+    data = field_bytes(grid, psi, atom_number)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
+        fh.write(data)
 
 
 def load_field(path):

@@ -4,7 +4,7 @@ A run is described by a flat key = value config (SI units, same format as
 the parameter files; unknown keys are a hard error), executes one of the
 engines, and persists everything into one output directory, the RunDir
 every run_* function is given and writes into (RunDir.write is the one
-writer of its data files, save_field of the .fld snapshots):
+writer of its data files):
 
     config.resolved     exact config used, defaults expanded (RunDir)
     manifest.json       package version, git hash, wall times (RunDir)
@@ -48,7 +48,7 @@ from . import __version__
 from .params import (ExperimentParams, ParameterError, csv_table, derive,
                      eta_of_power, format_value, param_lines,
                      parse_key_value_text, params_from_mapping, _PARAM_KEYS)
-from .grid import Grid2D, save_field
+from .grid import Grid2D, field_bytes
 from .gpe import (CondensateSim, PowerRamp, EtaRamp, detect_threshold,
                   oscillation_metric)
 from . import dicke
@@ -442,8 +442,8 @@ def run_ramp(config: RunConfig, rundir: RunDir):
         sim, rec, report = _run_ramp_gpe(config)
         rundir.write("trajectory.csv", gpe_trajectory_csv(rec))
         for i, (_, psi) in enumerate(rec["snapshots"]):
-            save_field(rundir.file(f"snapshot_{i:02d}.fld"), sim.grid, psi,
-                       config.params.atom_number)
+            rundir.write(f"snapshot_{i:02d}.fld", field_bytes(
+                sim.grid, psi, config.params.atom_number))
             rundir.write(f"snapshot_{i:02d}_peaks.csv",
                          peaks_csv(sim.momentum_peaks(psi)))
     else:
@@ -533,7 +533,8 @@ def _diagram_point(config, index, delta_c):
     t0 = time.monotonic()
     config = replace(config, seed=point_seed(config.seed, index),
                      params=replace(config.params,
-                                    pump_cavity_detuning=float(delta_c)))
+                                    pump_cavity_detuning=float(delta_c)),
+                     snapshot_powers=())
     rows = []
     try:
         _, rec, report = _run_ramp_gpe(config)
@@ -546,8 +547,7 @@ def _diagram_point(config, index, delta_c):
             j = int(np.searchsorted(rec["power"], p_sample))
             j = min(max(j, window - 1), n - 1)
             mean_nph = float(rec["nphoton"][j - window + 1:j + 1].mean())
-            thresholded = bool(report["detected"]
-                               and p_sample >= p_cr - 1e-300)
+            thresholded = bool(report["detected"] and p_sample >= p_cr)
             rows.append((delta_c, p_sample, config.seed, mean_nph,
                          float(rec["theta"][j]), thresholded, p_cr, osc,
                          frustrated, "ok", round(time.monotonic() - t0, 3)))

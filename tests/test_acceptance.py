@@ -378,11 +378,8 @@ def test_criterion_10_conservation_and_determinism(tmp_path):
         config = resolve_config(mapping, seed=33)
         rd = RunDir(str(tmp_path / name), config)
         sweeps.run_ramp(config, rd)
-        blobs.append(
-            open(os.path.join(str(tmp_path / name), "trajectory.csv"),
-                 "rb").read()
-            + open(os.path.join(str(tmp_path / name), "threshold.json"),
-                   "rb").read())
+        blobs.append((tmp_path / name / "trajectory.csv").read_bytes()
+                     + (tmp_path / name / "threshold.json").read_bytes())
     det_ok = blobs[0] == blobs[1]
     ok = norm_ok and mono_ok and det_ok
     report(10, "norm drift / energy monotonicity / byte-identical reruns",

@@ -9,7 +9,8 @@ from selforg.dicke import (critical_coupling, ConvergenceError,
 from selforg.grid import Grid2D, GridError
 from selforg.gpe import (CondensateSim, PowerRamp, EtaRamp, cavity_amplitude,
                          detect_threshold, oscillation_metric)
-from selforg.params import ExperimentParams, derive, with_pump_power
+from selforg.params import (ExperimentParams, derive, harmonic_trap,
+                            mode_profiles, with_pump_power)
 
 LAM = 2 * math.pi
 W_R = derive(ExperimentParams()).recoil_frequency
@@ -116,18 +117,41 @@ def test_cavity_amplitude():
 @pytest.mark.parametrize("batch", [1, 2, 3, 4, 7, 50])
 def test_member_cavity_terms_do_not_depend_on_batch(batch):
     # alpha and the potential of each stack member equal the 2D field's
-    # values bit for bit, whatever the batch size
+    # values at the member's eta bit for bit, whatever the batch size; a
+    # stack takes one eta or one eta per member (here 1.1, 1.3 and 0
+    # lambda_cr, so the lattice row's coefficient is also 0 for some)
     sim = ideal_sim(pump_lattice=True)
-    eta = eta_of(1.3)
     psi = np.array([sim.initial_state(seed=s, noise=0.3)
                     for s in range(batch)])
-    alphas, _ = sim.alpha_of(psi, eta)
-    potentials = sim.potential(eta, alphas)
-    assert alphas.shape == (batch,)
-    for m in range(batch):
-        alpha, _ = sim.alpha_of(psi[m], eta)
-        assert alphas[m] == alpha
-        assert np.array_equal(potentials[m], sim.potential(eta, alpha))
+    per_member = np.resize([eta_of(1.1), eta_of(1.3), 0.0], batch)
+    for eta in (eta_of(1.3), per_member):
+        alphas, _ = sim.alpha_of(psi, eta)
+        potentials = sim.potential(eta, alphas)
+        assert alphas.shape == (batch,)
+        for m, eta_m in enumerate(np.broadcast_to(eta, batch).tolist()):
+            alpha, _ = sim.alpha_of(psi[m], eta_m)
+            assert alphas[m] == alpha
+            assert np.array_equal(potentials[m], sim.potential(eta_m, alpha))
+
+
+def test_trapped_potential_is_the_closed_form():
+    # lattice, cavity terms and trap, each row with its own coefficient, on
+    # a trapped, interacting simulator; the profiles are one stack's rows
+    sim = trapped_sim()
+    assert sim.trap and sim.pump_lattice and sim.g2d > 0
+    x, z = sim.grid.x(), sim.grid.z()
+    phi_c, phi_p = mode_profiles(sim.params, x, 0.0, z)
+    trap = harmonic_trap(sim.params, x, 0.0, z)
+    eta, alpha = 0.8 * math.sqrt(-sim.u0), complex(-1.7, 0.6)
+    want = ((eta**2 / sim.u0) * phi_p**2
+            + sim.u0 * abs(alpha)**2 * phi_c**2
+            + 2 * eta * alpha.real * phi_c * phi_p + trap)
+    v = sim.potential(eta, alpha)
+    assert np.abs(v - want).max() <= 1e-13 * np.abs(want).max()
+    # the trap is a sizable part of the sum, so a wrong coefficient shows
+    assert np.abs(trap).max() > 0.1 * np.abs(want).max()
+    for profile in (sim.prof_cc, sim.prof_c2, sim.prof_p2):
+        assert np.shares_memory(profile, sim._profiles)
 
 
 def test_dynamic_potential_alpha_zero():

@@ -20,6 +20,7 @@ from selforg.boundary import BOUNDARY_CSV_HEADER
 from selforg.dicke import (DickeParams, critical_coupling,
                            steadystate_photon_fraction)
 from selforg.gpe import PowerRamp
+from selforg.grid import load_field
 from selforg.params import ExperimentParams, ParameterError, derive
 from selforg.sweeps import (ConfigError, RunDir, default_config, load_config,
                             point_seed, resolve_config, format_resolved,
@@ -237,16 +238,21 @@ def test_run_dicke_ed_sweep(tmp_path):
     assert rows[1][1] > 0.5
 
 
+# a mean-field Dicke ramp from below to above lam_cr = critical_coupling(1,
+# 1, 0.5), over 8000 / omega_r
+ODE_RAMP = [
+    "engine=dicke-semiclassical", "dicke_omega=1.0", "dicke_omega0=1.0",
+    "dicke_kappa=0.5", "dicke_coupling=1.2",
+    "ramp_time=" + repr(8000.0 / W_R), "noise_amplitude=1e-4",
+    "floor_factor=1e4", "record_every=10"]
+
+
 def test_ode_ramp_detects_threshold(tmp_path):
     # the photon signal of the mean-field Dicke ramp turns on only once the
     # seeded spin fluctuation has grown macroscopic, so the detected point
     # lies above lam_cr but never below; by the end of the ramp the system
     # must sit near the superradiant fixed point
-    config = default_config(overrides=[
-        "engine=dicke-semiclassical", "dicke_omega=1.0", "dicke_omega0=1.0",
-        "dicke_kappa=0.5", "dicke_coupling=1.2",
-        "ramp_time=" + repr(8000.0 / W_R), "noise_amplitude=1e-4",
-        "floor_factor=1e4", "record_every=10"])
+    config = default_config(overrides=ODE_RAMP)
     rd = RunDir(str(tmp_path / "ode"), config)
     rec, report = run_ramp(config, rd)
     lam_ref = critical_coupling(1.0, 1.0, 0.5)
@@ -259,24 +265,34 @@ def test_ode_ramp_detects_threshold(tmp_path):
         == sweeps.ODE_TRAJ_HEADER
 
 
+def test_cli_names_the_threshold_of_a_coupling_ramp_by_eta(tmp_path, capsys):
+    # a ramp without a power axis reports its power as NaN; the CLI line
+    # gives the threshold's eta (here the Dicke coupling) instead
+    argv = ["ramp", "--out", str(tmp_path / "ode")]
+    for item in ODE_RAMP:
+        argv += ["--override", item]
+    assert cli.main(argv) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    report = json.loads((tmp_path / "ode" / "threshold.json").read_text())
+    assert out == f"threshold detected at eta = {report['eta']:.6g}\n"
+    assert "nan" not in out
+
+
 @pytest.mark.slow
 def test_cli_ramp_deterministic(tmp_path):
     cfg = write_ideal_config(tmp_path / "ideal.cfg")
-    outs = []
     for name in ("run_a", "run_b"):
-        out = str(tmp_path / name)
-        code = cli.main(["ramp", "--config", cfg, "--out", out,
-                         "--seed", "11"])
+        code = cli.main(["ramp", "--config", cfg, "--out",
+                         str(tmp_path / name), "--seed", "11"])
         assert code == cli.EXIT_OK
-        outs.append(out)
-    traj_a = open(os.path.join(outs[0], "trajectory.csv"), "rb").read()
-    traj_b = open(os.path.join(outs[1], "trajectory.csv"), "rb").read()
+    traj_a = (tmp_path / "run_a" / "trajectory.csv").read_bytes()
+    traj_b = (tmp_path / "run_b" / "trajectory.csv").read_bytes()
     assert traj_a == traj_b
-    report = json.loads(open(os.path.join(outs[0], "threshold.json")).read())
+    report = json.loads((tmp_path / "run_a" / "threshold.json").read_text())
     assert report["detected"]
     lam_det = report["eta"] * math.sqrt(N_AT) / 2
     assert lam_det == pytest.approx(LAM_CR, rel=0.05)
-    cfg_echo = open(os.path.join(outs[0], "config.resolved")).read()
+    cfg_echo = (tmp_path / "run_a" / "config.resolved").read_text()
     assert "eta_end" in cfg_echo
 
 
@@ -339,8 +355,31 @@ def test_cli_ramp_snapshots(tmp_path):
     assert cli.main(["ramp", "--config", cfg, "--out", out]) == cli.EXIT_OK
     assert os.path.exists(os.path.join(out, "snapshot_00.fld"))
     assert os.path.exists(os.path.join(out, "snapshot_01_peaks.csv"))
-    peaks = open(os.path.join(out, "snapshot_01_peaks.csv")).read()
+    peaks = (tmp_path / "snaprun" / "snapshot_01_peaks.csv").read_text()
     assert peaks.splitlines()[0] == sweeps.PEAKS_HEADER
+
+
+def test_ramp_snapshots_go_through_the_run_directory_writer(tmp_path,
+                                                           monkeypatch):
+    # a snapshot's field file is written like every data file, atomically
+    # by RunDir.write, and reads back as the recorded field
+    written = []
+    real = RunDir.write
+
+    def spy(self, name, data):
+        written.append(name)
+        real(self, name, data)
+
+    monkeypatch.setattr(RunDir, "write", spy)
+    config = load_config(write_ideal_config(tmp_path / "snap.cfg", extra={
+        **POWER_RAMP, "snapshot_powers": "5e-4",
+        "ramp_time": repr(2.0 / W_R)}), seed=3)
+    rec, _ = run_ramp(config, RunDir(str(tmp_path / "snap"), config))
+    assert "snapshot_00.fld" in written
+    (_, psi), = rec["snapshots"]
+    grid, field, n_atoms = load_field(str(tmp_path / "snap" / "snapshot_00.fld"))
+    assert grid == sweeps.build_sim(config).grid and n_atoms == N_AT
+    assert np.array_equal(field, psi)
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -532,7 +571,7 @@ def test_diagram_sweep_and_empty_power_list(tmp_path):
     code = cli.main(["diagram", "--config", cfg, "--out", out,
                      "--workers", "2", "--seed", "4"])
     assert code == cli.EXIT_OK
-    table = open(os.path.join(out, "sweep.csv")).read().strip().split("\n")
+    table = (tmp_path / "diag" / "sweep.csv").read_text().strip().split("\n")
     assert table[0] == sweeps.SWEEP_HEADER
     assert len(table) == 1 + 2 * 3
     assert os.path.exists(os.path.join(out, "points", "point_0000.csv"))
@@ -542,7 +581,7 @@ def test_diagram_sweep_and_empty_power_list(tmp_path):
         "delta_c_list": repr(deltas[0])})
     out2 = str(tmp_path / "diag2")
     assert cli.main(["diagram", "--config", cfg2, "--out", out2]) == cli.EXIT_OK
-    assert open(os.path.join(out2, "sweep.csv")).read().strip() \
+    assert (tmp_path / "diag2" / "sweep.csv").read_text().strip() \
         == sweeps.SWEEP_HEADER
 
 
@@ -623,6 +662,28 @@ def test_diagram_points_ramp_to_their_caps(tmp_path, monkeypatch):
     config = load_config(cfg)
     run_phase_diagram(config, RunDir(str(tmp_path / "caps"), config))
     assert caps == [7e-4, 9e-4]
+
+
+def test_diagram_points_take_no_snapshots(tmp_path, monkeypatch):
+    # nothing writes a diagram point's snapshots, so its ramp takes none
+    seen = []
+    real = sweeps.CondensateSim.real_time_evolve
+
+    def spy(self, *args, **kwargs):
+        seen.append(kwargs["snapshot_times"])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(sweeps.CondensateSim, "real_time_evolve", spy)
+    cfg = write_ideal_config(tmp_path / "snap.cfg", extra={
+        **POWER_RAMP, "delta_c_list": repr(float(IDEAL_KEYS[
+            "pump_cavity_detuning"])),
+        "power_list": "5e-4", "snapshot_powers": "2e-4,8e-4",
+        "ramp_time": repr(2.0 / W_R)})
+    config = load_config(cfg)
+    rows, all_ok = run_phase_diagram(
+        config, RunDir(str(tmp_path / "diag"), config), workers=1)
+    assert all_ok and len(rows) == 1
+    assert seen == [None]
 
 
 @pytest.mark.slow

@@ -11,8 +11,9 @@ completion (some sweep points failed; completed points are persisted).
 Every failure exits 2, 3 or 4 without a traceback.  A config that does not
 load or an output directory that cannot be made exits 2 at once; every
 later failure also writes manifest.json with its status (config-error,
-engine-failure or partial), and a config error or engine failure also with
-its message under "error".
+engine-failure or partial), a config error or engine failure also with
+its message under "error", and a partial sweep with each failed point's
+"ExcName: message" under "failed_points" (by point index).
 All behavior is controlled by flags and the config file; no environment
 variables are read.
 """
@@ -108,8 +109,10 @@ def main(argv=None):
                   f"{len(rows)} records")
             if not all_ok:
                 rundir.finish("partial")
-                print("selforg: some sweep points failed; completed points "
-                      "are persisted", file=sys.stderr)
+                failed = ", ".join(map(str, sorted(rundir.failed_points)))
+                print(f"selforg: sweep points {failed} failed (errors in "
+                      "manifest.json); completed points are persisted",
+                      file=sys.stderr)
                 return EXIT_PARTIAL
         elif args.command == "ensemble":
             _, stats = run_symmetry_ensemble(config, rundir,

@@ -23,13 +23,14 @@ without the pump lattice), summed in that order.
 
 Propagation is Strang split-step V(dt/2) K(dt) V(dt/2): an exact
 potential half-step, the exact spectral kinetic factor (one forward and
-one inverse FFT) and a second potential half-step.  A potential half-step
-keeps the density pointwise, so in real time it is exact with alpha and
-g2d|psi|^2 taken from the field it acts on, and the step is second order
-in dt for this density-dependent, nonlocal potential (Lubich, Math. Comp.
-77, 2141 (2008)).  One loop runs both real and imaginary time (ground
-states, with the field renormalized to the atom number after every step).
-It builds the kinetic factor once per propagation, and one routine forms
+one inverse FFT, or on a small real grid two matrix products) and a
+second potential half-step.  A potential half-step keeps the density
+pointwise, so in real time it is exact with alpha and g2d|psi|^2 taken
+from the field it acts on, and the step is second order in dt for this
+density-dependent, nonlocal potential (Lubich, Math. Comp. 77, 2141
+(2008)).  One loop runs both real and imaginary time (ground states,
+with the field renormalized to the atom number after every step).  It
+builds the kinetic factor once per propagation, and one routine forms
 every half-step factor from one density |psi|^2 per step: one reduction
 to the norm, Theta and B (that of order_parameters and norm), one alpha
 and one exponential; a real-time record's norm is the step's own.
@@ -39,18 +40,22 @@ to real fields.  initial_state returns a real field, ground_states keeps
 the dtype it is given, and a real field relaxes on float64 with the real
 FFT pair (rfft2/irfft2, the kinetic factor on the half spectrum); a
 complex field relaxes on complex128 with fft2/ifft2.  real_time_evolve
-casts its start to complex.
+casts its start to complex.  On a real grid with at most _MATMUL_CAP
+points per axis, where a step's cost is the FFT calls' overhead, the
+factor exp(-dt kx^2) exp(-dt kz^2) separates into two real symmetric
+circulant matrices, one per axis, and the kinetic step is psi <- Kx @ psi
+@ Kz: the same step to rounding, with no FFT.
 
 Every field helper and the loop also take a stack of fields of shape
 (B, nx, nz): they reduce over the last two axes and carry alpha, Theta and
 B per member, and a 2D field is the B-less case of the same code.  Each
-operation acts on one member's slice alone (FFTs and sums over the last
-two axes, elementwise products), so a member's result is bit for bit the
-same whatever else is in its stack.  alpha and the potential's
-coefficients use real +, -, * and / only, which round alike in Python
-floats and numpy arrays (complex division does not), so one expression
-serves a 2D field's scalars and a stack's arrays, per-member etas
-included.  ground_states relaxes such a stack, coarse to fine, in one
+operation acts on one member's slice alone (FFTs, matrix products and
+sums over the last two axes, elementwise products), so a member's result
+is bit for bit the same whatever else is in its stack.  alpha and the
+potential's coefficients use real +, -, * and / only, which round alike
+in Python floats and numpy arrays (complex division does not), so one
+expression serves a 2D field's scalars and a stack's arrays, per-member
+etas included.  ground_states relaxes such a stack, coarse to fine, in one
 pass of the loop per stage: a member that has converged keeps stepping
 with the stack, unchecked.  A stage returns fields and settle steps only;
 ground_states raises at the first stage that leaves a member unsettled,
@@ -90,10 +95,29 @@ _WINDOW = 30            # checks in the sliding convergence window
 _COARSE_DTAU = 1.6e-2   # cap on the coarse relaxation stage's step
 _SEED_MOMENTUM = 2.0    # highest |p| of the start noise, in hbar k
 
+# a real field whose axes both have at most this many points takes its
+# kinetic factor as two matrix products, not an rfft2/irfft2 pair: on a
+# grid this small a step's cost is the FFT calls' overhead.  The cap sits
+# at the measured crossover (one BLAS thread, 2-core x86-64 box, best of
+# five; FFT pair against matmul for one / four members): 16^2 32 against
+# 3.3 us, 32^2 40 against 5.8 / 67 against 15 us, 64^2 66 against 22 /
+# 179 against 74 us, 128^2 184 against 183 / 1294 against 1596 us and
+# 256^2 1514 against 1786 us.
+_MATMUL_CAP = 64
+
 
 def _field_axes(value):
     """A per-member scalar or array, shaped to broadcast against fields."""
     return np.asarray(value)[..., None, None]
+
+
+def _kinetic_circulant(k, dt):
+    """exp(-dt k^2) along one axis (k in FFT order) as a real symmetric
+    circulant matrix: its first column is the factor's inverse FFT, so
+    the product with it is the spectral kinetic step along that axis."""
+    n = k.size
+    col = sfft.irfft(np.exp(-dt * k.ravel()[:n // 2 + 1] ** 2), n)
+    return col[(np.arange(n)[:, None] - np.arange(n)) % n]
 
 
 def _plain(value):
@@ -364,31 +388,47 @@ class CondensateSim:
         share the schedule; for a stack, alpha, op and the norm hold one
         value per member, and the step acts on each member's slice alone.
         A real psi (imaginary time only) steps with rfft2/irfft2 and the
-        kinetic factor on the half spectrum, a complex one with fft2/ifft2.
+        kinetic factor on the half spectrum, or, with both axes at most
+        _MATMUL_CAP points, with Kx @ psi @ Kz, the factor's two circulant
+        matrices built once per propagation; a complex one steps with
+        fft2/ifft2.
 
-        A step is V(dt/2) K(dt) V(dt/2): one forward and one inverse FFT
-        around the exact kinetic factor, between two multiplications by
-        the same kind of half-potential factor h = exp(-unit*V*dt/2).  In
-        real time the potential half-step keeps |psi|^2 pointwise, so it is
-        exact with V taken from the density it acts on: the second half of
-        step i takes alpha, g2d|psi|^2 and eta(t_{i+1}) from the
-        post-kinetic field, and that factor is also the first half of step
-        i+1.  The splitting is second order in dt (Lubich, Math. Comp. 77,
-        2141 (2008)).  In imaginary time the step applies the factor of
-        its starting field twice and then renormalizes to the atom number,
-        a symmetric step whose fixed point is O(dt^2) from the ground
-        state.  Either way _half_step forms every h, the start's too: one
-        density, one moment reduction and one exponential per step.
+        A step is V(dt/2) K(dt) V(dt/2): the exact kinetic factor (one
+        forward and one inverse FFT, or the two matrix products) between
+        two multiplications by the same kind of half-potential factor h =
+        exp(-unit*V*dt/2).  In real time the potential half-step keeps
+        |psi|^2 pointwise, so it is exact with V taken from the density it
+        acts on: the second half of step i takes alpha, g2d|psi|^2 and
+        eta(t_{i+1}) from the post-kinetic field, and that factor is also
+        the first half of step i+1.  The splitting is second order in dt
+        (Lubich, Math. Comp. 77, 2141 (2008)).  In imaginary time the step
+        applies the factor of its starting field twice and then
+        renormalizes to the atom number, a symmetric step whose fixed point
+        is O(dt^2) from the ground state.  Either way _half_step forms
+        every h, the start's too: one density, one moment reduction and one
+        exponential per step.
         """
         unit = 1.0 if imaginary else 1j     # exp(-unit * dt * H)
-        if np.isrealobj(psi):
-            shape = psi.shape[-2:]
-            exp_k = np.exp(-dt * self.ksq[:, :shape[1] // 2 + 1])
-            fft = sfft.rfft2
-            ifft = functools.partial(sfft.irfft2, s=shape)
+        shape = psi.shape[-2:]
+        if np.isrealobj(psi) and max(shape) <= _MATMUL_CAP:
+            k_x = _kinetic_circulant(self.grid.kx(), dt)
+            k_z = _kinetic_circulant(self.grid.kz(), dt)
+
+            def kinetic(f):
+                return k_x @ f @ k_z
         else:
-            exp_k = np.exp(-unit * dt * self.ksq)
-            fft, ifft = sfft.fft2, sfft.ifft2
+            if np.isrealobj(psi):
+                exp_k = np.exp(-dt * self.ksq[:, :shape[1] // 2 + 1])
+                fft = sfft.rfft2
+                ifft = functools.partial(sfft.irfft2, s=shape)
+            else:
+                exp_k = np.exp(-unit * dt * self.ksq)
+                fft, ifft = sfft.fft2, sfft.ifft2
+
+            def kinetic(f):
+                phi = fft(f, overwrite_x=True)
+                phi *= exp_k
+                return ifft(phi, overwrite_x=True)
         h = np.empty(psi.shape, float if imaginary else complex)
         power, eta = ramp(0.0)
         alpha, op, norm, h = self._half_step(psi, eta, -dt / 2, h)
@@ -396,9 +436,7 @@ class CondensateSim:
             yield psi, power, eta, alpha, op, norm
             if i == n_steps:
                 return
-            phi = fft(h * psi, overwrite_x=True)
-            phi *= exp_k
-            psi = ifft(phi, overwrite_x=True)
+            psi = kinetic(h * psi)
             power, eta = ramp((i + 1) * dt)
             if imaginary:
                 psi *= h
@@ -435,7 +473,8 @@ class CondensateSim:
         strength; returns one imaginary_time_ground_state dict per member.
 
         The stack keeps its dtype: real starts relax on float64 with the
-        real FFT pair, complex ones on complex128 (see the module
+        real FFT pair, or on a small grid the kinetic factor's two
+        circulant matrices, complex ones on complex128 (see the module
         docstring).  A member's alpha, theta, bunching and energy are
         computed once, of its returned field, after the last stage.
 

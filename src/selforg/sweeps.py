@@ -7,7 +7,8 @@ every run_* function is given and writes into (RunDir.write is the one
 writer of its data files):
 
     config.resolved     exact config used, defaults expanded (RunDir)
-    manifest.json       package version, git hash, wall times (RunDir)
+    manifest.json       package version, git hash, wall times, status,
+                        errors and failed sweep points (RunDir)
     run_ramp            trajectory.csv, threshold.json; on the gpe engine
                         snapshot_NN.fld and snapshot_NN_peaks.csv
     run_phase_diagram   points/point_NNNN.csv, sweep.csv; boundary.csv for
@@ -287,6 +288,8 @@ class RunDir:
             "seed": config.seed,
             "wall_times_s": {},
         }
+        # sweep point index -> "ExcName: message", in the manifest if any
+        self.failed_points = {}
 
     def file(self, name):
         return os.path.join(self.path, name)
@@ -300,10 +303,12 @@ class RunDir:
 
     def finish(self, status="ok", error=None):
         """Write manifest.json with the run's status and, for a failed
-        run, the error message."""
+        run, the error message; failed sweep points under failed_points."""
         self._manifest["status"] = status
         if error is not None:
             self._manifest["error"] = error
+        if self.failed_points:
+            self._manifest["failed_points"] = self.failed_points
         self._manifest["wall_times_s"]["total"] = round(
             time.monotonic() - self._t0, 6)
         _atomic_write(self.file("manifest.json"),
@@ -529,7 +534,9 @@ def _run_ramp_ode(config):
 
 
 def _diagram_point(config, index, delta_c):
-    """Worker: one detuning of the phase diagram (its own ramp)."""
+    """Worker: one detuning of the phase diagram (its own ramp).  Returns
+    (index, rows, error): error is None, or "ExcName: message" for a point
+    that failed."""
     t0 = time.monotonic()
     config = replace(config, seed=point_seed(config.seed, index),
                      params=replace(config.params,
@@ -556,8 +563,8 @@ def _diagram_point(config, index, delta_c):
                      False, math.nan, math.nan, False,
                      f"failed:{type(exc).__name__}",
                      round(time.monotonic() - t0, 3)))
-        return index, rows, False
-    return index, rows, True
+        return index, rows, f"{type(exc).__name__}: {exc}"
+    return index, rows, None
 
 
 @_engine_boundary
@@ -565,7 +572,8 @@ def run_phase_diagram(config: RunConfig, rundir: RunDir, workers=None):
     """Detuning x power sweep (each detuning is one ramp) plus the analytic
     boundary table for overlay.  Completed points are persisted immediately
     under points/; the merged sweep.csv is written in point order.  Returns
-    (rows, all_ok)."""
+    (rows, all_ok); each failed point's error goes to the manifest
+    (RunDir.failed_points)."""
     deltas = config.delta_c_list
     if not deltas:
         raise ConfigError("diagram runs need delta_c_list")
@@ -582,17 +590,17 @@ def run_phase_diagram(config: RunConfig, rundir: RunDir, workers=None):
         rundir.stage_done("boundary")
 
     merged = []
-    all_ok = True
     jobs = [(replace(config, power_end=caps[i]) if caps else config, i, dc)
             for i, dc in enumerate(deltas)]
-    for index, rows, ok in _map_points(_diagram_point, jobs, workers):
+    for index, rows, error in _map_points(_diagram_point, jobs, workers):
         merged.extend(rows)
-        all_ok &= ok
+        if error is not None:
+            rundir.failed_points[index] = error
         rundir.write(f"points/point_{index:04d}.csv",
                      csv_table(SWEEP_HEADER, rows))
     rundir.write("sweep.csv", csv_table(SWEEP_HEADER, merged))
     rundir.stage_done("sweep")
-    return merged, all_ok
+    return merged, not rundir.failed_points
 
 
 # grid points per ensemble batch: a stack of (B, nx, nz) fields and its

@@ -694,20 +694,83 @@ def test_initial_state_is_real_band_limited_and_mirrors():
     assert rolled == pytest.approx(-theta, rel=1e-9)
 
 
-def test_real_start_relaxes_with_the_real_fft_pair(monkeypatch):
+def test_small_real_grids_relax_without_ffts(monkeypatch):
+    # a real field on a grid within _MATMUL_CAP takes its kinetic factor as
+    # two circulant matrix products: no inverse 2D FFT, rfft2 only for the
+    # energy checks, and two 1D inverse FFTs per stage build the matrices;
+    # above the cap each step takes one rfft2/irfft2 pair, and a complex
+    # start keeps fft2/ifft2 (the starts' FFTs run before the spy)
     sim = ideal_sim()
     psi0s = [sim.initial_state(seed=s, noise=1e-2) for s in (1, 2)]
+    energy = CondensateSim.energy
+    energy_calls = []
+
+    def spy(self, *args, **kwargs):
+        energy_calls.append(None)
+        return energy(self, *args, **kwargs)
+
+    monkeypatch.setattr(CondensateSim, "energy", spy)
     fft = CountingFFT()
     monkeypatch.setattr(gpe, "sfft", fft)
-    gs = sim.imaginary_time_ground_state(eta_of(1.3), psi0=psi0s[0])
-    # one rfft2/irfft2 pair per step; rfft2 also serves the energy checks
-    assert set(fft.calls) == {"rfft2", "irfft2"}
-    assert fft.calls["irfft2"] == gs["steps"]
+
+    def relax(starts):
+        fft.calls.clear()
+        energy_calls.clear()
+        states = sim.ground_states(eta_of(1.3), starts)
+        return states, sum(gs["steps"] for gs in states)
+
+    for starts in (psi0s[:1], psi0s):
+        states, _ = relax(starts)
+        assert fft.calls == {"rfft2": len(energy_calls), "irfft": 2 * 3}
+        assert [gs["psi"].dtype for gs in states] \
+            == [np.float64] * len(starts)
+    monkeypatch.setattr(gpe, "_MATMUL_CAP", 16)
+    (gs,), steps = relax(psi0s[:1])
+    assert fft.calls == {"rfft2": steps + len(energy_calls), "irfft2": steps}
     assert gs["psi"].dtype == np.float64
-    fft.calls.clear()
-    states = sim.ground_states(eta_of(1.3), psi0s)
-    assert set(fft.calls) == {"rfft2", "irfft2"}
-    assert [gs["psi"].dtype for gs in states] == [np.float64] * 2
+    (gs,), steps = relax(np.array(psi0s[:1], dtype=complex))
+    assert fft.calls == {"fft2": steps + len(energy_calls), "ifft2": steps}
+    assert gs["psi"].dtype == np.complex128
+
+
+@pytest.mark.parametrize("shape", [(3, 32, 64), (4, 32, 32)])
+def test_circulant_kinetic_step_is_the_fft_step(monkeypatch, shape):
+    # one step of a random real stack, by the matrices and (cap patched to
+    # 0) by the rfft2/irfft2 pair; the non-square grid, with its own
+    # extent per axis, fails if the two axes' matrices are swapped
+    nx, nz = shape[1:]
+    sim = CondensateSim(ideal_params(), Grid2D(nx / 8 * LAM, nz / 8 * LAM,
+                                               nx, nz),
+                        envelopes=False, trap=False, pump_lattice=True)
+    rng = np.random.default_rng(7)
+    psi = sim.renormalize(1.0 + 0.3 * rng.standard_normal(shape))
+
+    def one_step():
+        steps = sim._strang_steps(psi.copy(), lambda t: (math.nan,
+                                                         eta_of(1.3)),
+                                  4e-3, 1, imaginary=True)
+        next(steps)
+        return next(steps)[0]
+
+    by_matrices = one_step()
+    monkeypatch.setattr(gpe, "_MATMUL_CAP", 0)
+    by_fft = one_step()
+    assert np.abs(by_matrices - by_fft).max() \
+        <= 1e-13 * np.abs(by_fft).max()
+
+
+def test_circulant_and_fft_ground_states_agree(monkeypatch):
+    sim = ideal_sim()
+    by_matrices = sim.imaginary_time_ground_state(eta_of(1.3), seed=5,
+                                                  noise=1e-2)
+    monkeypatch.setattr(gpe, "_MATMUL_CAP", 0)
+    by_fft = sim.imaginary_time_ground_state(eta_of(1.3), seed=5,
+                                             noise=1e-2)
+    assert abs(by_matrices["theta"]) > 0.5 * N_AT
+    assert np.sign(by_matrices["theta"]) == np.sign(by_fft["theta"])
+    assert by_matrices["theta"] == pytest.approx(by_fft["theta"], rel=1e-12)
+    assert by_matrices["energy"] == pytest.approx(by_fft["energy"],
+                                                  rel=1e-12)
 
 
 @pytest.mark.parametrize("make_sim, eta", [(ideal_sim, eta_of(1.3)),

@@ -612,7 +612,8 @@ def test_sweep_files_do_not_depend_on_workers(tmp_path):
     assert files[1] == files[2]
 
 
-def test_diagram_partial_failure_persists_points(tmp_path, monkeypatch):
+def test_diagram_partial_failure_persists_points(tmp_path, monkeypatch,
+                                                  capsys):
     real = sweeps._run_ramp_gpe
     calls = {"n": 0}
 
@@ -638,12 +639,24 @@ def test_diagram_partial_failure_persists_points(tmp_path, monkeypatch):
     assert any(s.startswith("failed:") for s in statuses)
     # the completed point file survived independently of the merge
     assert os.path.exists(str(tmp_path / "flaky" / "points" / "point_0000.csv"))
-    # the CLI maps partial completion to exit code 4
-    monkeypatch.setattr(cli, "run_phase_diagram",
-                        lambda *a, **k: ([], False))
-    out = str(tmp_path / "flaky-cli")
-    assert cli.main(["diagram", "--config", cfg, "--out", out]) \
+    # the failed point's message goes to the manifest, by point index
+    rd.finish("partial")
+    manifest = json.loads((tmp_path / "flaky" / "manifest.json").read_text())
+    assert manifest["failed_points"] == {"1": "RuntimeError: injected failure"}
+
+    # the CLI maps partial completion to exit code 4 and names the points
+    def partial(config, rundir, **kwargs):
+        rundir.failed_points[1] = "RuntimeError: injected failure"
+        return [], False
+
+    monkeypatch.setattr(cli, "run_phase_diagram", partial)
+    out = tmp_path / "flaky-cli"
+    assert cli.main(["diagram", "--config", cfg, "--out", str(out)]) \
         == cli.EXIT_PARTIAL
+    assert "sweep points 1 failed" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "partial"
+    assert manifest["failed_points"] == {"1": "RuntimeError: injected failure"}
 
 
 def test_diagram_points_ramp_to_their_caps(tmp_path, monkeypatch):
